@@ -7,8 +7,8 @@ so stages are freely re-runnable and byte-reproducible. A JSON config
 file provides defaults; command-line flags override it. A machine-
 readable run manifest accompanies every run.
 
-Exit codes: 0 success, 1 validation failure, 2 I/O failure,
-3 optimization failure.
+Exit codes: 0 success, 1 validation or any other failure, 2 I/O
+failure, 3 optimization failure.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -153,44 +154,15 @@ class _StageFailure(Exception):
         super().__init__(f"stage '{stage}': {original}")
 
 
-class _stage:
+@contextmanager
+def _stage(name):
     """Re-raise stage errors tagged with the stage name."""
-
-    def __init__(self, name):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and not isinstance(
-            exc, (_StageFailure, KeyboardInterrupt)
-        ):
-            raise _StageFailure(self.name, exc) from exc
-        return False
-
-
-def _read_pair(cfg: PipelineConfig, path):
-    return load_record(
-        path,
-        delimiter=cfg.delimiter,
-        displacement_column=cfg.displacement_column,
-        load_column=cfg.load_column,
-        displacement_unit=cfg.displacement_unit,
-        load_unit=cfg.load_unit,
-    )
-
-
-def _read_stage_pair(cfg: PipelineConfig, filename):
-    # Stage outputs are always comma-separated displacement,load files.
-    return load_record(
-        cfg.path(filename),
-        delimiter=",",
-        displacement_column=0,
-        load_column=1,
-        displacement_unit=cfg.displacement_unit,
-        load_unit=cfg.load_unit,
-    )
+    try:
+        yield
+    except _StageFailure:
+        raise
+    except Exception as exc:
+        raise _StageFailure(name, exc) from exc
 
 
 def cmd_resample(cfg: PipelineConfig) -> None:
@@ -198,7 +170,14 @@ def cmd_resample(cfg: PipelineConfig) -> None:
     with _stage("resample"):
         if not cfg.input:
             raise ValidationError(["no input file given"])
-        raw = _read_pair(cfg, cfg.input)
+        raw = load_record(
+            cfg.input,
+            delimiter=cfg.delimiter,
+            displacement_column=cfg.displacement_column,
+            load_column=cfg.load_column,
+            displacement_unit=cfg.displacement_unit,
+            load_unit=cfg.load_unit,
+        )
         reduced = regular_reduce(raw, cfg.step)
         write_record(reduced, cfg.path("reduced.csv"), precision=cfg.precision)
         changes = detect_reversals(reduced.displacement)
@@ -209,7 +188,7 @@ def cmd_resample(cfg: PipelineConfig) -> None:
 def cmd_backbone(cfg: PipelineConfig) -> None:
     """resampled.csv -> envelope.csv + idealized.csv"""
     with _stage("backbone"):
-        resampled = _read_stage_pair(cfg, "resampled.csv")
+        resampled = load_record(cfg.path("resampled.csv"))
         env = extract_envelope(resampled)
         write_columns(
             cfg.path("envelope.csv"),
@@ -227,7 +206,8 @@ def cmd_backbone(cfg: PipelineConfig) -> None:
 
 
 def _read_idealized(cfg: PipelineConfig) -> IdealizedBackbone:
-    pair = _read_stage_pair(cfg, "idealized.csv")
+    # Stage outputs are comma-separated displacement,load files.
+    pair = load_record(cfg.path("idealized.csv"))
     return IdealizedBackbone(pair.displacement, pair.load)
 
 
@@ -281,7 +261,7 @@ def cmd_simulate(cfg: PipelineConfig, params_path=None) -> None:
     """resampled.csv + idealized.csv + params -> response.csv"""
     with _stage("simulate"):
         params = _read_params_file(params_path or cfg.path("best_params.txt"))
-        resampled = _read_stage_pair(cfg, "resampled.csv")
+        resampled = load_record(cfg.path("resampled.csv"))
         ideal = _read_idealized(cfg)
         response = simulate(ideal, params, resampled.displacement)
         _write_response(cfg, resampled, response)
@@ -291,7 +271,7 @@ def cmd_fit(cfg: PipelineConfig) -> None:
     """resampled.csv + idealized.csv -> best_params.txt + convergence.csv
     + response.csv"""
     with _stage("fit"):
-        resampled = _read_stage_pair(cfg, "resampled.csv")
+        resampled = load_record(cfg.path("resampled.csv"))
         ideal = _read_idealized(cfg)
         ga = cfg.ga_config()
 
@@ -302,12 +282,7 @@ def cmd_fit(cfg: PipelineConfig) -> None:
             fh.write(",".join(header) + "\n")
 
             def stream_row(generation, history):
-                row = (
-                    generation,
-                    history.best_score[-1],
-                    history.mean_score[-1],
-                    *history.best_params[-1],
-                )
+                row = history.row(generation)
                 fh.write(
                     ",".join(format_number(v, cfg.precision) for v in row) + "\n"
                 )
@@ -407,20 +382,14 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted; partial outputs flushed", file=sys.stderr)
         return 130
-    except _StageFailure as failure:
-        print(f"pivotfit: {failure}", file=sys.stderr)
-        original = failure.original
-        if isinstance(original, FitError):
+    except Exception as exc:
+        print(f"pivotfit: {exc}", file=sys.stderr)
+        cause = exc.original if isinstance(exc, _StageFailure) else exc
+        if isinstance(cause, FitError):
             return EXIT_OPTIMIZATION
-        if isinstance(original, OSError):
+        if isinstance(cause, OSError):
             return EXIT_IO
         return EXIT_VALIDATION
-    except (ValidationError, ParseError, ValueError) as exc:
-        print(f"pivotfit: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"pivotfit: {exc}", file=sys.stderr)
-        return EXIT_IO
     return EXIT_OK
 
 

@@ -114,11 +114,12 @@ def load_record(
     """Read a delimiter-separated record into a validated SignalPair.
 
     Column indices are 0-based. Whitespace-only and fully empty lines are
-    ignored. Errors carry 1-based line numbers.
+    ignored, and a leading UTF-8 byte order mark is dropped. Errors carry
+    1-based line numbers.
     """
     ncols = max(displacement_column, load_column) + 1
     disp, load = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.readlines()
 
     first_data_row = True

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from pivotfit.ingest import SignalPair
 from pivotfit.pivot import (
     PARAM_NAMES,
-    BackboneGeometry,
     PivotParams,
     build_geometry,
     simulate,
@@ -126,15 +126,17 @@ class ConvergenceHistory:
     def __len__(self):
         return len(self.best_score)
 
+    def row(self, generation):
+        """(generation, best, mean, alpha1, alpha2, beta1, beta2, eta) of
+        a 1-based generation."""
+        g = generation - 1
+        return (
+            generation, self.best_score[g], self.mean_score[g], *self.best_params[g]
+        )
+
     def rows(self):
-        """(generation, best, mean, alpha1, alpha2, beta1, beta2, eta) rows."""
-        for g in range(len(self.best_score)):
-            yield (
-                g + 1,
-                self.best_score[g],
-                self.mean_score[g],
-                *self.best_params[g],
-            )
+        """Every generation's row, in order."""
+        return map(self.row, range(1, len(self) + 1))
 
 
 def deviation_score(load_resp, load_exp) -> float:
@@ -150,11 +152,10 @@ def deviation_score(load_resp, load_exp) -> float:
             f"load arrays must be 1-d and equal-length, got shapes "
             f"{load_resp.shape} and {load_exp.shape}"
         )
-    total = 0.0
-    for r, e in zip(load_resp.tolist(), load_exp.tolist()):
-        diff = r - e
-        total += diff * diff
-    return total
+    if load_resp.shape[0] == 0:
+        return 0.0
+    d = load_resp - load_exp
+    return float(np.add.accumulate(d * d)[-1])
 
 
 def evaluate(params: PivotParams, backbone, resampled: SignalPair) -> float:
@@ -163,40 +164,34 @@ def evaluate(params: PivotParams, backbone, resampled: SignalPair) -> float:
     return deviation_score(response, resampled.load)
 
 
-# -- worker-side state for parallel evaluation ----------------------------
-
-_WORKER = {}
-
-
-def _init_worker(knots_d, knots_f, displacement, load):
-    _WORKER["geometry"] = BackboneGeometry(knots_d, knots_f)
-    _WORKER["displacement"] = displacement
-    _WORKER["load"] = load
-
-
-def _eval_worker(genes):
+def _score_genes(geometry, resampled: SignalPair, genes) -> float:
+    """Score of one gene vector; inf where the candidate cannot run."""
     try:
-        response = simulate(
-            _WORKER["geometry"], PivotParams.from_array(genes), _WORKER["displacement"]
-        )
-        return deviation_score(response, _WORKER["load"])
+        return evaluate(PivotParams.from_array(genes), geometry, resampled)
     except (ValueError, ZeroDivisionError):
         return float("inf")
 
 
-def _evaluate_population(genes, geometry, resampled, pool):
-    scores = np.empty(genes.shape[0])
+# Pool workers receive the bound scorer once, through the initializer, so it
+# is not pickled again with every chunk of a map.
+_WORKER_SCORE = None
+
+
+def _init_worker(score):
+    global _WORKER_SCORE
+    _WORKER_SCORE = score
+
+
+def _eval_worker(genes):
+    return _WORKER_SCORE(genes)
+
+
+def _evaluate_population(genes, score, pool):
     if pool is None:
-        for i in range(genes.shape[0]):
-            try:
-                params = PivotParams.from_array(genes[i])
-                response = simulate(geometry, params, resampled.displacement)
-                scores[i] = deviation_score(response, resampled.load)
-            except (ValueError, ZeroDivisionError):
-                scores[i] = np.inf
+        results = map(score, genes)
     else:
-        for i, score in enumerate(pool.map(_eval_worker, genes, chunksize=8)):
-            scores[i] = score
+        results = pool.map(_eval_worker, genes, chunksize=8)
+    scores = np.fromiter(results, float, genes.shape[0])
     if not np.isfinite(scores).any():
         raise FitError("every individual of a generation failed to evaluate")
     return scores
@@ -219,9 +214,7 @@ def fit(
     if config is None:
         config = GAConfig()
     config.validate()
-    geometry = (
-        backbone if isinstance(backbone, BackboneGeometry) else build_geometry(backbone)
-    )
+    score = partial(_score_genes, build_geometry(backbone), resampled)
 
     lo = config.bounds.lower()
     hi = config.bounds.upper()
@@ -243,15 +236,10 @@ def fit(
             pool = ProcessPoolExecutor(
                 max_workers=config.workers,
                 initializer=_init_worker,
-                initargs=(
-                    list(geometry.knots_d),
-                    list(geometry.knots_f),
-                    resampled.displacement,
-                    resampled.load,
-                ),
+                initargs=(score,),
             )
         for generation in range(1, config.max_generations + 1):
-            scores = _evaluate_population(genes, geometry, resampled, pool)
+            scores = _evaluate_population(genes, score, pool)
 
             gen_best = int(np.argmin(scores))
             if scores[gen_best] < best_score:

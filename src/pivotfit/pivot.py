@@ -35,7 +35,7 @@ solved exactly and the branch geometry is independent of step size):
   exact cycle retracing.
 
 Displacement beyond the backbone's ultimate points clamps the envelope
-load at its terminal value and sets ``beyond_ultimate``.
+load at its terminal value.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from pivotfit.backbone import IdealizedBackbone
 
 ETA_SCALE = 100.0  # eta acts per 100 in the degradation shrink factor
 
@@ -135,8 +133,11 @@ class BackboneGeometry:
         return kf[6]
 
 
-def build_geometry(backbone: IdealizedBackbone) -> BackboneGeometry:
-    """Derive engine geometry from an idealized backbone."""
+def build_geometry(backbone) -> BackboneGeometry:
+    """Engine geometry of an IdealizedBackbone; a BackboneGeometry passes
+    through unchanged."""
+    if isinstance(backbone, BackboneGeometry):
+        return backbone
     return BackboneGeometry(backbone.displacement, backbone.load)
 
 
@@ -148,16 +149,13 @@ class PivotEngine:
     """
 
     def __init__(self, geometry, params: PivotParams):
-        if isinstance(geometry, IdealizedBackbone):
-            geometry = build_geometry(geometry)
-        self.geom = geometry
+        self.geom = build_geometry(geometry)
         self.params = params
         self.d = 0.0
         self.f = 0.0
         # historical extremes of envelope contact; reloading targets
         self.d_max = 0.0
         self.d_min = 0.0
-        self.beyond_ultimate = False
         self._dir = 0
         self._branch = _ENV
         # active line: anchor (ax, ay) and slope; events: list of
@@ -347,15 +345,12 @@ class PivotEngine:
             return self.f
 
     def _move_on_envelope(self, d_next):
-        g = self.geom
         self.d = d_next
-        self.f = g.envelope(d_next)
+        self.f = self.geom.envelope(d_next)
         if d_next > self.d_max:
             self.d_max = d_next
         if d_next < self.d_min:
             self.d_min = d_next
-        if d_next > g.knots_d[6] or d_next < g.knots_d[0]:
-            self.beyond_ultimate = True
 
 
 def simulate(backbone, params: PivotParams, displacements) -> np.ndarray:
@@ -365,10 +360,7 @@ def simulate(backbone, params: PivotParams, displacements) -> np.ndarray:
     displacement. Deterministic: identical inputs give identical
     outputs.
     """
-    geometry = (
-        backbone if isinstance(backbone, BackboneGeometry) else build_geometry(backbone)
-    )
-    engine = PivotEngine(geometry, params)
+    engine = PivotEngine(backbone, params)
     displacements = np.asarray(displacements, dtype=float)
     out = np.empty(displacements.shape[0])
     step = engine.step

@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
+import pivotfit.cli
 from pivotfit import IdealizedBackbone, PivotParams, SignalPair, simulate, write_record
 from pivotfit.cli import main
+from pivotfit.optimize import FitError
 from conftest import uniform_grid_protocol
 
 
@@ -176,6 +178,27 @@ def test_bad_cell_reports_line(tmp_path, capsys):
     code = main(["resample", "--input", str(raw), "--outdir", str(tmp_path)])
     assert code == 1
     assert "line 3" in capsys.readouterr().err
+
+
+def _raise_fit_error(*args, **kwargs):
+    raise FitError("no candidate could be evaluated")
+
+
+@pytest.mark.parametrize(
+    "case, code, stderr",
+    [
+        ("fit_error", 3, "pivotfit: stage 'fit': no candidate could be evaluated\n"),
+        ("outdir_not_a_path", 1, "pivotfit: "),
+    ],
+)
+def test_exit_codes(workdir, monkeypatch, capsys, case, code, stderr):
+    tmp, raw, out, config = workdir
+    if case == "fit_error":
+        monkeypatch.setattr(pivotfit.cli, "fit", _raise_fit_error)
+    else:
+        config.write_text(json.dumps({"input": str(raw), "outdir": 5}))
+    assert main(["pipeline", "--config", str(config)]) == code
+    assert capsys.readouterr().err.startswith(stderr)
 
 
 def test_unknown_bounds_param_rejected(workdir):

@@ -33,6 +33,14 @@ def test_header_autodetected(tmp_path):
     assert len(pair) == 2
 
 
+def test_byte_order_mark_keeps_first_row(tmp_path):
+    p = tmp_path / "rec.csv"
+    p.write_bytes(b"\xef\xbb\xbf0,0\n1,5\n2,10\n")
+    pair = load_record(p)
+    assert len(pair) == 3
+    np.testing.assert_array_equal(pair.displacement, [0, 1, 2])
+
+
 def test_non_numeric_cell_names_line(tmp_path):
     p = tmp_path / "rec.csv"
     rows = [f"{i},{2 * i}" for i in range(6)] + ["oops,3", "7,14"]

@@ -142,8 +142,10 @@ def test_stall_stops_early(round_trip_record):
 
 def test_all_failures_raise_fit_error(symmetric_backbone):
     bad = SignalPair(np.array([0.0, np.nan, 1.0]), np.array([0.0, 1.0, 2.0]))
-    with pytest.raises(FitError):
-        fit(bad, symmetric_backbone, GAConfig(population_size=5, max_generations=2))
+    for workers in (1, 2):
+        config = GAConfig(population_size=5, max_generations=2, workers=workers)
+        with pytest.raises(FitError):
+            fit(bad, symmetric_backbone, config)
 
 
 def test_round_trip_recovery_quick(round_trip_record):
