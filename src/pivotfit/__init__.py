@@ -29,7 +29,6 @@ from pivotfit.backbone import (
 )
 from pivotfit.pivot import (
     BackboneGeometry,
-    PivotEngine,
     PivotParams,
     build_geometry,
     simulate,
@@ -63,7 +62,6 @@ __all__ = [
     "idealize",
     "PivotParams",
     "BackboneGeometry",
-    "PivotEngine",
     "build_geometry",
     "simulate",
     "GAConfig",

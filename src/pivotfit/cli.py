@@ -91,6 +91,40 @@ def _load_config_file(path) -> dict:
     return data
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_bounds(value) -> bool:
+    return isinstance(value, dict) and all(
+        name in PARAM_NAMES
+        and isinstance(interval, list)
+        and len(interval) == 2
+        and all(_is_int(v) or isinstance(v, float) for v in interval)
+        for name, interval in value.items()
+    )
+
+
+# PipelineConfig field type -> (what a config file value must be, check)
+_FILE_VALUE_TYPES = {
+    "int": ("an integer", _is_int),
+    "str": ("a string", lambda value: isinstance(value, str)),
+    "dict": ("an object of parameter name -> [lo, hi]", _is_bounds),
+}
+
+
+def _check_file_values(values: dict, path) -> None:
+    """Reject config file values of the wrong JSON type before any stage
+    runs."""
+    for key, value in values.items():
+        kind = PipelineConfig.__dataclass_fields__[key].type
+        expected, check = _FILE_VALUE_TYPES[kind]
+        if not check(value):
+            raise ValidationError(
+                [f"config file {path}: {key!r} must be {expected}, got {value!r}"]
+            )
+
+
 def _parse_bounds_flag(values) -> dict:
     bounds = {}
     for entry in values or ():
@@ -118,6 +152,7 @@ def resolve_config(args) -> PipelineConfig:
             raise ValidationError(
                 [f"unknown config file keys: {', '.join(sorted(unknown))}"]
             )
+        _check_file_values(file_values, args.config)
         for key, value in file_values.items():
             setattr(cfg, key, value)
     for key in cfg.__dataclass_fields__:

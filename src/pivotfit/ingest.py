@@ -2,9 +2,10 @@
 
 Records are delimiter-separated text with two designated numeric columns
 (displacement and load). An optional single header line is auto-detected:
-if either designated cell of the first row does not parse as a number,
-the row is treated as a header and skipped. Units are metadata only and
-are never converted.
+if no designated cell of the first row parses as a number, the row is
+treated as a header and skipped; a first row with one numeric designated
+cell is data and must parse in full. Units are metadata only and are
+never converted.
 """
 
 from __future__ import annotations
@@ -122,16 +123,18 @@ def load_record(
     with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.readlines()
 
-    first_data_row = True
+    first_line = True
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         cells = [c.strip() for c in line.split(delimiter)]
+        if first_line:
+            first_line = False
+            needed = (displacement_column, load_column)
+            if all(_parse_cell(cells[c]) is None for c in needed if c < len(cells)):
+                continue  # auto-detected header line
         if len(cells) < ncols:
-            if first_data_row:
-                first_data_row = False
-                continue  # header with fewer columns than data
             raise ParseError(
                 f"expected at least {ncols} columns, found {len(cells)}",
                 path=path,
@@ -140,16 +143,12 @@ def load_record(
         d = _parse_cell(cells[displacement_column])
         f = _parse_cell(cells[load_column])
         if d is None or f is None:
-            if first_data_row:
-                first_data_row = False
-                continue  # auto-detected header line
             col = displacement_column if d is None else load_column
             raise ParseError(
                 f"non-numeric value {cells[col]!r} in column {col}",
                 path=path,
                 line=lineno,
             )
-        first_data_row = False
         disp.append(d)
         load.append(f)
 

@@ -36,20 +36,32 @@ solved exactly and the branch geometry is independent of step size):
 
 Displacement beyond the backbone's ultimate points clamps the envelope
 load at its terminal value.
+
+The response is computed one monotone run of the history at a time (the
+samples between two reversals): a run launches its branch once, and
+each stretch of it on one line, on the backbone or on the sub-yield
+elastic lines is filled in bulk with the expressions a sample-by-sample
+evaluation would use, so the loads match that evaluation bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import neg
 
 import numpy as np
 
 ETA_SCALE = 100.0  # eta acts per 100 in the degradation shrink factor
 
-# branch kinds
+# branch kinds, which are also load sources of a response segment
 _ENV = 0
 _LINE = 1
+_ELASTIC = 2  # sub-yield shortcut of a never-yielded engine
+# segment table entries (source, line anchor x, y, slope) off the lines
+_ENV_SEGMENT = (_ENV, 0.0, 0.0, 0.0)
+_ELASTIC_SEGMENT = (_ELASTIC, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -112,6 +124,7 @@ class BackboneGeometry:
         self.dy_neg = dy_neg
         self.f_min = min(self.knots_f)
         self.f_max = max(self.knots_f)
+        self._history = None  # the last history seen, see history()
 
     def envelope(self, d: float) -> float:
         """Piecewise-linear backbone load at displacement d, clamped at
@@ -132,6 +145,34 @@ class BackboneGeometry:
                 return kf[i] + (kf[i + 1] - kf[i]) * (d - x0) / (x1 - x0)
         return kf[6]
 
+    def envelope_at(self, d: np.ndarray) -> np.ndarray:
+        """``envelope`` of every element of d, bit for bit."""
+        kd = self.knots_d
+        kf = self.knots_f
+        out = np.full(d.shape, kf[6])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the first segment whose right knot is not below d wins
+            for i in range(5, -1, -1):
+                x0, x1 = kd[i], kd[i + 1]
+                seg = kf[i] + (kf[i + 1] - kf[i]) * (d - x0) / (x1 - x0)
+                seg = np.where(d == x1, kf[i + 1], seg)  # exact at knots
+                out = np.where(d <= x1, seg, out)
+        out[d >= kd[6]] = kf[6]
+        out[d <= kd[0]] = kf[0]
+        return out
+
+    def history(self, displacements) -> "_History":
+        """Engine facts of a displacement history on this geometry.
+
+        The facts of the last history seen are kept, keyed by its bytes,
+        so repeated simulations of one record compute them once.
+        """
+        key = np.asarray(displacements, dtype=float).tobytes()
+        facts = self._history
+        if facts is None or facts.key != key:
+            facts = self._history = _History(self, key)
+        return facts
+
 
 def build_geometry(backbone) -> BackboneGeometry:
     """Engine geometry of an IdealizedBackbone; a BackboneGeometry passes
@@ -144,8 +185,8 @@ def build_geometry(backbone) -> BackboneGeometry:
 class PivotEngine:
     """Single-owner mutable hysteresis state; see module docstring.
 
-    ``step`` advances the state by one displacement value and returns
-    the load. Independent instances may be stepped concurrently.
+    ``respond`` drives the state over a whole displacement history.
+    Independent instances may run concurrently.
     """
 
     def __init__(self, geometry, params: PivotParams):
@@ -290,67 +331,160 @@ class PivotEngine:
             return None
         return (by - b_slope * bx - self._ay + self._slope * self._ax) / denom
 
-    # -- stepping -----------------------------------------------------------
+    # -- run-wise evaluation ------------------------------------------------
 
-    def step(self, d_next: float) -> float:
-        """Advance to displacement d_next and return the load there."""
-        d_next = float(d_next)
-        if not math.isfinite(d_next):
-            raise ValueError(f"displacement must be finite, got {d_next}")
-        if d_next == self.d:
-            return self.f
+    def respond(self, history: "_History") -> np.ndarray:
+        """Load at every sample of a history, from the virgin state.
+
+        Branches launch once per monotone run. Each phase (a stretch of
+        samples on one line, on the envelope or on the sub-yield elastic
+        lines) becomes one segment, and the loads of all segments are
+        filled in bulk at the end with the expressions of their branches.
+        """
         g = self.geom
-        if (
-            self.d_max <= g.dy_pos
-            and self.d_min >= g.dy_neg
-            and g.dy_neg <= d_next <= g.dy_pos
-        ):
-            # never yielded and staying sub-yield: exact elastic response
-            self._dir = 1 if d_next > self.d else -1
-            self._branch = _ENV
-            self.d = d_next
-            if d_next == g.dy_pos:
-                self.f = g.fy_pos
-            elif d_next == g.dy_neg:
-                self.f = g.fy_neg
-            else:
-                self.f = g.k_pos * d_next if d_next >= 0.0 else g.k_neg * d_next
-            if d_next > self.d_max:
-                self.d_max = d_next
-            if d_next < self.d_min:
-                self.d_min = d_next
-            return self.f
-        s = 1 if d_next > self.d else -1
-        if s != self._dir:
-            self._launch(s)
-            self._dir = s
-
-        while True:
-            if self._branch == _ENV:
-                self._move_on_envelope(d_next)
-                return self.f
-            if self._events and (d_next - self._events[0][0]) * s >= 0.0:
-                ex, kind, payload = self._events.pop(0)
-                self.d = ex
-                self.f = self._ay + self._slope * (ex - self._ax)
+        xs = history.xs
+        m = xs.shape[0]
+        run_ends, run_dirs = history.run_ends, history.run_dirs
+        # segment table: sample counts, then source, line anchor x, y and
+        # slope of each segment
+        lens, segs = [], []
+        i = r = 0
+        while i < m:
+            while run_ends[r] <= i:
+                r += 1
+            b = run_ends[r]
+            if self.d_max <= g.dy_pos and self.d_min >= g.dy_neg:
+                # Neither side has yielded: a sample inside the yield
+                # displacements takes the elastic shortcut, so phases
+                # stop where the history enters or leaves that range.
+                toggles = history.toggles
+                nxt = int(toggles[toggles.searchsorted(i, "right")])
+                if history.inside[i]:
+                    vals = xs[i:nxt].tolist()
+                    hi, lo = max(vals), min(vals)
+                    if hi > self.d_max:
+                        self.d_max = hi
+                    if lo < self.d_min:
+                        self.d_min = lo
+                    self.d = vals[-1]
+                    self.f = float(history.elastic[nxt - 1])
+                    self._dir = 1 if history.up[nxt - 1] else -1
+                    self._branch = _ENV
+                    lens.append(nxt - i)
+                    segs.extend(_ELASTIC_SEGMENT)
+                    i = nxt
+                    continue
+                b = min(b, nxt)
+            s = run_dirs[r]
+            if s != self._dir:
+                self._launch(s)
+                self._dir = s
+            vals = xs[i:b].tolist()  # monotone in direction s
+            n = len(vals)
+            j = 0
+            while True:
+                if self._branch == _ENV:
+                    lo, hi = (vals[j], vals[-1]) if s > 0 else (vals[-1], vals[j])
+                    if hi > self.d_max:
+                        self.d_max = hi
+                    if lo < self.d_min:
+                        self.d_min = lo
+                    self.d = vals[-1]
+                    self.f = float(history.envelope[b - 1])
+                    lens.append(n - j)
+                    segs.extend(_ENV_SEGMENT)
+                    break
+                # The first sample with (x - ex)*s >= 0 reaches the next
+                # event: x >= ex moving up, -x >= -ex moving down. A NaN
+                # event point is never reached.
+                k = n
+                if self._events:
+                    ex = self._events[0][0]
+                    if ex == ex:
+                        if s > 0:
+                            k = bisect_left(vals, ex, j)
+                        else:
+                            k = bisect_left(vals, -ex, j, key=neg)
+                if k > j:
+                    lens.append(k - j)
+                    segs.extend((_LINE, self._ax, self._ay, self._slope))
+                if k == n:
+                    self.d = vals[-1]
+                    self.f = self._ay + self._slope * (vals[-1] - self._ax)
+                    break
+                _, kind, payload = self._events.pop(0)
                 if kind == _ENV:
                     self._branch = _ENV
                 else:
                     ax, ay, slope, events = payload
                     self._set_line(ax, ay, slope)
                     self._events = events
-                continue
-            self.d = d_next
-            self.f = self._ay + self._slope * (d_next - self._ax)
-            return self.f
+                j = k
+            i = b
 
-    def _move_on_envelope(self, d_next):
-        self.d = d_next
-        self.f = self.geom.envelope(d_next)
-        if d_next > self.d_max:
-            self.d_max = d_next
-        if d_next < self.d_min:
-            self.d_min = d_next
+        nseg = len(lens)
+        table = np.fromiter(segs, float, 4 * nseg).reshape(nseg, 4)
+        source, ax, ay, slope = np.repeat(table.T, lens, axis=1)
+        loads = xs - ax  # then ay + slope*(x - ax), in place
+        loads *= slope
+        loads += ay
+        np.copyto(loads, history.envelope, where=source == _ENV)
+        np.copyto(loads, history.elastic, where=source == _ELASTIC)
+        if history.fill is not None:
+            # a repeated sample returns the load of the sample it repeats
+            loads = np.concatenate(([0.0], loads))[history.fill]
+        return loads
+
+
+class _History:
+    """What a displacement history holds for the engine on one geometry.
+
+    Depends only on the history and the geometry, so a fit computes it
+    once: the changed samples, their monotone runs, the sub-yield range
+    crossings and the envelope and elastic loads at every sample.
+    """
+
+    def __init__(self, geom: BackboneGeometry, key: bytes):
+        self.key = key
+        x = np.frombuffer(key)
+        finite = np.isfinite(x)
+        if not finite.all():
+            bad = x[np.argmin(finite)]
+            raise ValueError(f"displacement must be finite, got {bad}")
+        # A sample equal to the previous one (the virgin state sits at
+        # 0.0) returns the previous load and changes no state.
+        changed = np.empty(x.shape[0], dtype=bool)
+        changed[:1] = x[:1] != 0.0
+        np.not_equal(x[1:], x[:-1], out=changed[1:])
+        if changed.all():
+            self.fill = None
+            xs = x
+        else:
+            self.fill = np.cumsum(changed)
+            xs = x[changed]
+        self.xs = xs
+        m = xs.shape[0]
+        # direction of the step into each sample, True when increasing
+        up = np.empty(m, dtype=bool)
+        up[:1] = xs[:1] > 0.0
+        np.greater(xs[1:], xs[:-1], out=up[1:])
+        self.up = up
+        ends = np.append(np.flatnonzero(up[1:] != up[:-1]) + 1, m)
+        self.run_ends = ends.tolist()
+        self.run_dirs = np.where(up[ends - 1], 1, -1).tolist() if m else []
+        inside = (geom.dy_neg <= xs) & (xs <= geom.dy_pos)
+        self.inside = inside
+        self.toggles = np.append(np.flatnonzero(inside[1:] != inside[:-1]) + 1, m)
+        self.envelope = geom.envelope_at(xs)
+        self.elastic = np.where(
+            xs == geom.dy_pos,
+            geom.fy_pos,
+            np.where(
+                xs == geom.dy_neg,
+                geom.fy_neg,
+                np.where(xs >= 0.0, geom.k_pos * xs, geom.k_neg * xs),
+            ),
+        )
 
 
 def simulate(backbone, params: PivotParams, displacements) -> np.ndarray:
@@ -361,9 +495,4 @@ def simulate(backbone, params: PivotParams, displacements) -> np.ndarray:
     outputs.
     """
     engine = PivotEngine(backbone, params)
-    displacements = np.asarray(displacements, dtype=float)
-    out = np.empty(displacements.shape[0])
-    step = engine.step
-    for i in range(displacements.shape[0]):
-        out[i] = step(displacements[i])
-    return out
+    return engine.respond(engine.geom.history(displacements))

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from pivotfit.pivot import _ENV, PivotEngine
+
 
 def snap_floor(x):
     r = round(x)
@@ -116,3 +118,82 @@ def random_cyclic_record(rng, n_cycles=None):
                 + rng.normal(0, 0.01, steps)
             )
     return np.array(disp), np.array(load)
+
+
+class SteppingEngine(PivotEngine):
+    """The Pivot engine advanced one displacement sample at a time.
+
+    Shares branch launch and event logic with the library engine; only
+    the per-sample stepping lives here.
+    """
+
+    def step(self, d_next: float) -> float:
+        """Advance to displacement d_next and return the load there."""
+        d_next = float(d_next)
+        if not math.isfinite(d_next):
+            raise ValueError(f"displacement must be finite, got {d_next}")
+        if d_next == self.d:
+            return self.f
+        g = self.geom
+        if (
+            self.d_max <= g.dy_pos
+            and self.d_min >= g.dy_neg
+            and g.dy_neg <= d_next <= g.dy_pos
+        ):
+            # never yielded and staying sub-yield: exact elastic response
+            self._dir = 1 if d_next > self.d else -1
+            self._branch = _ENV
+            self.d = d_next
+            if d_next == g.dy_pos:
+                self.f = g.fy_pos
+            elif d_next == g.dy_neg:
+                self.f = g.fy_neg
+            else:
+                self.f = g.k_pos * d_next if d_next >= 0.0 else g.k_neg * d_next
+            if d_next > self.d_max:
+                self.d_max = d_next
+            if d_next < self.d_min:
+                self.d_min = d_next
+            return self.f
+        s = 1 if d_next > self.d else -1
+        if s != self._dir:
+            self._launch(s)
+            self._dir = s
+
+        while True:
+            if self._branch == _ENV:
+                self._move_on_envelope(d_next)
+                return self.f
+            if self._events and (d_next - self._events[0][0]) * s >= 0.0:
+                ex, kind, payload = self._events.pop(0)
+                self.d = ex
+                self.f = self._ay + self._slope * (ex - self._ax)
+                if kind == _ENV:
+                    self._branch = _ENV
+                else:
+                    ax, ay, slope, events = payload
+                    self._set_line(ax, ay, slope)
+                    self._events = events
+                continue
+            self.d = d_next
+            self.f = self._ay + self._slope * (d_next - self._ax)
+            return self.f
+
+    def _move_on_envelope(self, d_next):
+        self.d = d_next
+        self.f = self.geom.envelope(d_next)
+        if d_next > self.d_max:
+            self.d_max = d_next
+        if d_next < self.d_min:
+            self.d_min = d_next
+
+
+def step_simulate_oracle(backbone, params, displacements):
+    """Pivot response computed one sample at a time; the reference that
+    the run-wise ``simulate`` must match bit for bit."""
+    engine = SteppingEngine(backbone, params)
+    displacements = np.asarray(displacements, dtype=float)
+    out = np.empty(displacements.shape[0])
+    for i in range(displacements.shape[0]):
+        out[i] = engine.step(displacements[i])
+    return out

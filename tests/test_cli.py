@@ -201,6 +201,30 @@ def test_exit_codes(workdir, monkeypatch, capsys, case, code, stderr):
     assert capsys.readouterr().err.startswith(stderr)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("population", "16"),
+        ("seed", True),
+        ("scale", 40.0),
+        ("outdir", 5),
+        ("delimiter", None),
+        ("bounds", [1, 50]),
+        ("bounds", {"alpha1": [1]}),
+        ("bounds", {"alpha1": ["1", "50"]}),
+        ("bounds", {"gamma": [0, 1]}),
+    ],
+)
+def test_config_file_value_types_checked(workdir, capsys, key, value):
+    tmp, raw, out, config = workdir
+    values = json.loads(config.read_text())
+    values[key] = value
+    config.write_text(json.dumps(values))
+    assert main(["pipeline", "--config", str(config)]) == 1
+    assert f"'{key}' must be" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any stage ran
+
+
 def test_unknown_bounds_param_rejected(workdir):
     tmp, raw, out, config = workdir
     code = main(["fit", "--config", str(config), "--bounds", "gamma=0:1"])

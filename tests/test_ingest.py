@@ -41,6 +41,14 @@ def test_byte_order_mark_keeps_first_row(tmp_path):
     np.testing.assert_array_equal(pair.displacement, [0, 1, 2])
 
 
+@pytest.mark.parametrize("first", ["0,", "0,load", "disp,5", "0"])
+def test_partly_numeric_first_row_is_data(tmp_path, first):
+    p = tmp_path / "rec.csv"
+    write_lines(p, [first, "1,5", "2,10", "3,15"])
+    with pytest.raises(ParseError, match="line 1"):
+        load_record(p)
+
+
 def test_non_numeric_cell_names_line(tmp_path):
     p = tmp_path / "rec.csv"
     rows = [f"{i},{2 * i}" for i in range(6)] + ["oops,3", "7,14"]

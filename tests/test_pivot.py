@@ -3,12 +3,14 @@ import pytest
 
 from pivotfit import (
     IdealizedBackbone,
-    PivotEngine,
     PivotParams,
+    SignalPair,
     build_geometry,
     simulate,
 )
+from pivotfit.optimize import _score_genes
 from conftest import triangle_protocol
+from oracles import SteppingEngine, step_simulate_oracle
 
 
 def test_params_bounds_enforced():
@@ -244,16 +246,125 @@ def test_determinism(symmetric_backbone):
 
 def test_beyond_ultimate_clamps(symmetric_backbone):
     g = build_geometry(symmetric_backbone)
-    eng = PivotEngine(g, PivotParams(2, 2, 0.5, 0.5, 0))
-    for d in np.linspace(0, 4.0, 30):
-        f = eng.step(d)
-    assert f == g.knots_f[6]  # terminal envelope value
+    loads = simulate(g, PivotParams(2, 2, 0.5, 0.5, 0), np.linspace(0, 4.0, 30))
+    assert loads[-1] == g.knots_f[6]  # terminal envelope value
 
 
 def test_engine_rejects_non_finite_displacement(symmetric_backbone):
-    eng = PivotEngine(build_geometry(symmetric_backbone), PivotParams(2, 2, 0.5, 0.5, 0))
-    with pytest.raises(ValueError):
-        eng.step(np.nan)
+    g = build_geometry(symmetric_backbone)
+    params = PivotParams(2, 2, 0.5, 0.5, 0)
+    for bad in (np.nan, np.inf, -np.inf):
+        hist = np.array([0.0, 0.5, bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            simulate(g, params, hist)
+        # the GA scores such a candidate as failed
+        record = SignalPair(hist, np.zeros(4))
+        assert _score_genes(g, record, params.as_array()) == np.inf
+
+
+def random_params(rng):
+    return PivotParams(
+        rng.uniform(1, 100),
+        rng.uniform(1, 100),
+        rng.uniform(0, 1),
+        rng.uniform(0, 1),
+        rng.uniform(0, 1000),
+    )
+
+
+def random_backbone(rng):
+    d_neg, d_pos = np.sort(rng.uniform(0.2, 3.0, (2, 3)), axis=1)
+    f_neg, f_pos = rng.uniform(5.0, 20.0, (2, 3))
+    return IdealizedBackbone([*-d_neg[::-1], 0.0, *d_pos], [*-f_neg, 0.0, *f_pos])
+
+
+def random_history(rng, g, kind):
+    if kind == 0:  # random walk; clipping repeats the bounds
+        return np.clip(np.cumsum(rng.normal(0, 0.5, 60)), -5.2, 6.2)
+    if kind == 1:  # each amplitude twice: reversals on prior extremes
+        amps = np.repeat(rng.uniform(0.3, 3.2, 3), 2) * np.tile([1, -1], 3)
+        return triangle_protocol(amps, pts=int(rng.integers(2, 25)))
+    # knots, yield points and signed zeros, with repeats
+    pool = [*g.knots_d, 0.0, -0.0, 0.5 * g.dy_pos, 0.5 * g.dy_neg, 2.5, -2.5]
+    return rng.choice(pool, 50)
+
+
+def with_event_points(g, params, hist):
+    """hist with a sample inserted exactly on every branch event point
+    that the stepping engine passes between two samples of a run."""
+    engine = SteppingEngine(g, params)
+    out = []
+    for d in hist:
+        while out and engine._events:
+            s = engine._dir
+            ex = engine._events[0][0]
+            if not ((ex - engine.d) * s > 0.0 and (d - ex) * s > 0.0):
+                break
+            out.append(ex)
+            engine.step(ex)
+        out.append(d)
+        engine.step(d)
+    return np.array(out)
+
+
+def test_simulate_bit_identical_to_step_oracle(symmetric_backbone, asymmetric_backbone):
+    g = build_geometry(symmetric_backbone)
+    params = PivotParams(3, 3, 0.5, 0.5, 50)
+    for hist in ([], [-0.0], [0.0, -0.0, 0.5, 0.5, -0.0, 0.0], [2.5, 2.5, -0.0, 0.0]):
+        expected = step_simulate_oracle(g, params, hist).tobytes()
+        assert simulate(g, params, hist).tobytes() == expected
+    rng = np.random.default_rng(31)
+    events = 0
+    for trial in range(450):
+        bb = (symmetric_backbone, asymmetric_backbone, random_backbone(rng))[trial % 3]
+        g = build_geometry(bb)
+        params = random_params(rng)
+        hist = random_history(rng, g, trial // 3 % 3)
+        dense = with_event_points(g, params, hist)
+        events += dense.shape[0] - hist.shape[0]
+        for h in (hist, dense, -hist):
+            # tobytes also tells 0.0 from -0.0
+            expected = step_simulate_oracle(g, params, h).tobytes()
+            assert simulate(g, params, h).tobytes() == expected
+            assert simulate(bb, params, h).tobytes() == expected
+    assert events > 450  # the event-point samples were exercised
+
+
+def refine(hist, k):
+    """Every step of hist split into k sub-steps in the same direction."""
+    prev = np.concatenate(([0.0], hist[:-1]))
+    fine = prev[:, None] + (hist - prev)[:, None] * (np.arange(1, k + 1) / k)
+    fine[:, -1] = hist
+    return fine.ravel()
+
+
+def test_response_independent_of_step_size(symmetric_backbone, asymmetric_backbone):
+    rng = np.random.default_rng(32)
+    for trial in range(300):
+        bb = (symmetric_backbone, asymmetric_backbone, random_backbone(rng))[trial % 3]
+        g = build_geometry(bb)
+        params = random_params(rng)
+        if trial // 3 % 2:
+            hist = np.cumsum(rng.normal(0, 0.5, 60))
+        else:
+            amps = rng.uniform(0.3, 3.2, 6) * np.tile([1, -1], 3)
+            hist = triangle_protocol(amps, pts=int(rng.integers(2, 25)))[1:]
+        k = int(rng.integers(2, 6))
+        coarse = simulate(g, params, hist)
+        fine = simulate(g, params, refine(hist, k))
+        assert fine[k - 1 :: k].tobytes() == coarse.tobytes()
+
+
+def test_history_facts_follow_the_bytes(symmetric_backbone):
+    g = build_geometry(symmetric_backbone)
+    params = PivotParams(3, 3, 0.5, 0.5, 50)
+    hist = triangle_protocol([2.5, -2.5, 2.5], pts=40)
+    first = simulate(g, params, hist)
+    hist[10:] *= 0.5  # same array, new values
+    expected = step_simulate_oracle(g, params, hist)
+    assert simulate(g, params, hist).tobytes() == expected.tobytes()
+    hist[10:] *= 2.0
+    assert simulate(g, params, hist).tobytes() == first.tobytes()
 
 
 def test_params_at_bounds_run(symmetric_backbone):
