@@ -67,6 +67,8 @@ class IdealizedBackbone:
 def _check_idealized(d, f):
     if d.shape != (7,) or f.shape != (7,):
         raise ValueError("idealized backbone must have exactly 7 points")
+    if not (np.isfinite(d).all() and np.isfinite(f).all()):
+        raise ValueError("idealized points must be finite")
     if d[3] != 0.0 or f[3] != 0.0:
         raise ValueError("idealized point 4 must be the origin")
     if np.any(np.diff(d) < 0):

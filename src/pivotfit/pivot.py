@@ -110,6 +110,8 @@ class BackboneGeometry:
         self.knots_f = [float(v) for v in knots_f]
         if len(self.knots_d) != 7 or len(self.knots_f) != 7:
             raise ValueError("backbone geometry needs exactly 7 points")
+        if not all(map(math.isfinite, self.knots_d + self.knots_f)):
+            raise ValueError("backbone geometry points must be finite")
         dy_neg, fy_neg = self.knots_d[2], self.knots_f[2]
         dy_pos, fy_pos = self.knots_d[4], self.knots_f[4]
         if dy_pos == 0.0 or dy_neg == 0.0:

@@ -45,18 +45,11 @@ def detect_reversals(values) -> np.ndarray:
     n = values.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 samples to detect reversals, got {n}")
-    indices = []
-    prev_sign = 0
-    for k in range(n - 1):  # k is the 0-based index of the difference
-        diff = values[k + 1] - values[k]
-        if diff == 0.0:
-            continue
-        sign = 1 if diff > 0 else -1
-        if prev_sign != 0 and sign != prev_sign:
-            indices.append(k + 1)  # 1-based sample where the new run starts
-        prev_sign = sign
-    indices.append(n)
-    return np.array(indices, dtype=int)
+    diffs = values[1:] - values[:-1]
+    moving = np.flatnonzero(diffs)  # 0-based indices of nonzero differences
+    rising = diffs[moving] > 0
+    flips = moving[1:][rising[1:] != rising[:-1]]
+    return np.append(flips + 1, n)  # 1-based samples where a new run starts
 
 
 def _snap_floor(scaled: np.ndarray) -> np.ndarray:

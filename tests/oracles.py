@@ -8,7 +8,85 @@ import math
 
 import numpy as np
 
+from pivotfit.ingest import ParseError, SignalPair, format_number, validate
 from pivotfit.pivot import _ENV, PivotEngine
+
+
+def load_record_oracle(path, delimiter=",", displacement_column=0, load_column=1):
+    """The record loader walked one line and one cell at a time; the
+    reference that the block-wise ``load_record`` must match."""
+
+    def parse(text):
+        try:
+            return float(text)
+        except ValueError:
+            return None
+
+    ncols = max(displacement_column, load_column) + 1
+    disp, load = [], []
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = fh.readlines()
+    first_line = True
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        cells = [c.strip() for c in line.split(delimiter)]
+        if first_line:
+            first_line = False
+            needed = (displacement_column, load_column)
+            if all(parse(cells[c]) is None for c in needed if c < len(cells)):
+                continue  # header line
+        if len(cells) < ncols:
+            raise ParseError(
+                f"expected at least {ncols} columns, found {len(cells)}",
+                path=path,
+                line=lineno,
+            )
+        d = parse(cells[displacement_column])
+        f = parse(cells[load_column])
+        if d is None or f is None:
+            col = displacement_column if d is None else load_column
+            raise ParseError(
+                f"non-numeric value {cells[col]!r} in column {col}",
+                path=path,
+                line=lineno,
+            )
+        disp.append(d)
+        load.append(f)
+    if len(disp) < 2:
+        raise ParseError(
+            f"too short: found {len(disp)} data rows, need at least 2", path=path
+        )
+    return validate(SignalPair(np.array(disp), np.array(load)))
+
+
+def write_columns_oracle(path, header, columns, delimiter=",", precision=9):
+    """Columns written one formatted value at a time."""
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(delimiter.join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(delimiter.join(format_number(v, precision) for v in row) + "\n")
+
+
+def detect_reversals_oracle(values):
+    """1-based samples where the direction of travel flips, walked one
+    difference at a time, with the final index n appended."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    indices = []
+    prev_sign = 0
+    for k in range(n - 1):  # k is the 0-based index of the difference
+        diff = values[k + 1] - values[k]
+        if diff == 0.0:
+            continue
+        sign = 1 if diff > 0 else -1
+        if prev_sign != 0 and sign != prev_sign:
+            indices.append(k + 1)
+        prev_sign = sign
+    indices.append(n)
+    return np.array(indices, dtype=int)
 
 
 def snap_floor(x):

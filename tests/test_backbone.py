@@ -162,3 +162,11 @@ def test_idealized_backbone_validates_shape():
         IdealizedBackbone([0, 1], [0, 1])
     with pytest.raises(ValueError, match="origin"):
         IdealizedBackbone([-3, -2, -1, 0.5, 1, 2, 3], [-9, -12, -8, 0, 8, 12, 9])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_idealized_backbone_rejects_non_finite_knot(bad):
+    with pytest.raises(ValueError, match="finite"):
+        IdealizedBackbone([-3, -2, bad, 0, 1, 2, 3], [-12, -15, -10, 0, 10, 15, 12])
+    with pytest.raises(ValueError, match="finite"):
+        IdealizedBackbone([-3, -2, -1, 0, 1, 2, 3], [-12, -15, -10, 0, 10, 15, bad])

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,9 @@ from pivotfit import (
     validate,
     write_record,
 )
+from pivotfit import ingest
+from pivotfit.ingest import write_columns
+from oracles import load_record_oracle, write_columns_oracle
 
 
 def write_lines(path, lines):
@@ -139,3 +144,145 @@ def test_units_carried_to_header(tmp_path):
     pair = SignalPair([0, 1], [0, 2], displacement_unit="1/m", load_unit="kN")
     write_record(pair, p)
     assert p.read_text().splitlines()[0] == "displacement_1/m,load_kN"
+
+
+# -- block-wise reader and column-wise writer against the per-cell oracles --
+
+CELLS = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.17g}"),
+    st.sampled_from(
+        ["1_0", "nan", "inf", "-inf", "x", "", " 2 ", "١", "+.5", "1e-320", "-0"]
+    ),
+)
+
+
+@st.composite
+def record_files(draw):
+    delimiter = draw(st.sampled_from([",", "\t", ";"]))
+    columns = draw(st.sampled_from([(0, 1), (1, 0), (1, 2), (2, 0), (0, 0), (1, -3)]))
+    width = draw(st.integers(max(columns) + 1, max(columns) + 3))
+    plain = st.floats(-1e3, 1e3, allow_nan=False).map(repr)
+    kinds = ["row"] * 12 + ["blank"]
+    if draw(st.booleans()):
+        kinds += ["ragged", "odd"]
+    trailing = draw(st.sampled_from([0, 1, 10]))  # delimiter at 1 in n line ends
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["disp,load", "d\tf", "0,load", "disp;5", "t;d;f"])))
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t", " \x0c "])))
+            continue
+        n = width if kind != "ragged" else draw(st.integers(0, width + 2))
+        cells = [draw(CELLS if kind == "odd" else plain) for _ in range(n)]
+        line = delimiter.join(cells)
+        if trailing and draw(st.integers(1, trailing)) == 1:
+            line += delimiter
+        if draw(st.integers(0, 9)) == 0:
+            line = draw(st.sampled_from([" ", "\t"])) + line + " "
+        lines.append(line)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    return bom + text.encode("utf-8"), delimiter, columns
+
+
+def outcome(load, path, delimiter, columns):
+    try:
+        pair = load(path, delimiter, *columns)
+    except (ParseError, ValidationError, IndexError) as err:
+        return type(err), str(err), getattr(err, "line", None)
+    return pair.displacement.tobytes(), pair.load.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_files(), st.sampled_from([1, 16, 64, 1 << 16]))
+def test_load_record_matches_line_walk_oracle(tmp_path_factory, record, block):
+    data, delimiter, columns = record
+    path = tmp_path_factory.mktemp("rec") / "rec.csv"
+    path.write_bytes(data)
+    with mock.patch.object(ingest, "_BLOCK_CHARS", block):
+        found = outcome(load_record, path, delimiter, columns)
+    assert found == outcome(load_record_oracle, path, delimiter, columns)
+
+
+@pytest.mark.parametrize("bad", ["oops", "1", "1,2,3", "1,2,", ""])
+def test_bad_line_in_a_later_block_is_named(tmp_path, bad):
+    rows = [f"{i * 0.001:.9g},{i * 1.5e-3:.9g}" for i in range(20_000)]
+    rows[17_345] = bad or ","
+    p = tmp_path / "rec.csv"
+    write_lines(p, ["displacement_mm,load_kN"] + rows)
+    assert p.stat().st_size > 4 * ingest._BLOCK_CHARS
+    found = outcome(load_record, p, ",", (0, 1))
+    assert found == outcome(load_record_oracle, p, ",", (0, 1))
+    if bad in ("oops", "1", ""):
+        assert found[2] == 17_347
+    else:  # a ragged but valid row
+        assert len(found[0]) == 8 * 20_000
+
+
+@pytest.mark.parametrize(
+    "lines, delimiter, columns",
+    [
+        # ragged rows whose cells add up to whole rows of three
+        (["0,0,0", "1", "2,2,2,2,2", "3,3,3"], ",", (0, 1)),
+        (["0;0", "1;1;", "2", "3;3"], ";", (0, 1)),
+        # a later line that would pass the header rule is still data
+        (["0,0", "1,1", "x,y", "3,3"], ",", (0, 1)),
+        # a joined multi-character delimiter could straddle two lines
+        (["21112.21", "112."], "11", (0, 1)),
+        (["0, 1", "1, 2.5", "2, 4"], ", ", (0, 1)),
+        # negative columns count from each line's end
+        (["0,1,2", "3,4,5", "6,7,8"], ",", (-1, 0)),
+        (["0,1", "2,3"], ",", (1, -3)),
+    ],
+)
+@pytest.mark.parametrize("block", [1, 1 << 16])
+def test_irregular_rows_match_oracle(tmp_path, lines, delimiter, columns, block):
+    p = tmp_path / "rec.csv"
+    write_lines(p, lines)
+    expected = outcome(load_record_oracle, p, delimiter, columns)
+    with mock.patch.object(ingest, "_BLOCK_CHARS", block):
+        assert outcome(load_record, p, delimiter, columns) == expected
+
+
+def test_regular_file_is_read_without_the_line_walk(tmp_path, monkeypatch):
+    rows = [f"{i},{-i * 0.5:.9g}, 7" for i in range(5000)]
+    p = tmp_path / "rec.csv"
+    p.write_bytes(b"\xef\xbb\xbfd,f,t\r\n\r\n" + " \r\n".join(rows).encode())
+    monkeypatch.setattr(ingest, "_walk_lines", None)  # calling it would raise
+    pair = load_record(p)
+    assert pair.displacement.tobytes() == np.arange(5000.0).tobytes()
+
+
+def test_long_regular_file_matches_oracle(tmp_path):
+    rng = np.random.default_rng(5)
+    rows = [f"{d:.9g}\t{f:.17g}\t7" for d, f in rng.standard_normal((30_000, 2))]
+    p = tmp_path / "rec.tsv"
+    p.write_bytes(b"\xef\xbb\xbft\td\tf\r\n" + "\r\n".join(rows).encode())
+    found = outcome(load_record, p, "\t", (1, 0))
+    assert found == outcome(load_record_oracle, p, "\t", (1, 0))
+    assert len(found[0]) == 8 * 30_000
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300, 0.1, 1 / 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=30),
+    st.sampled_from([3, 9, 17]),
+    st.sampled_from([",", "\t", "{}"]),
+)
+def test_write_columns_matches_per_value_oracle(tmp_path_factory, values, precision, delimiter):
+    floats = np.array(SPECIAL + values)
+    columns = [floats, np.arange(floats.size) - 7, (np.arange(floats.size) / 7).astype(np.float32)]
+    out = tmp_path_factory.mktemp("w")
+    for cols in (columns, columns[:1], [floats, floats[:3]], []):
+        header = [f"c{i}" for i in range(len(cols))]
+        write_columns(out / "new.csv", header, cols, delimiter, precision)
+        write_columns_oracle(out / "old.csv", header, cols, delimiter, precision)
+        assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()

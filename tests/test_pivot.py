@@ -9,6 +9,7 @@ from pivotfit import (
     simulate,
 )
 from pivotfit.optimize import _score_genes
+from pivotfit.pivot import BackboneGeometry
 from conftest import triangle_protocol
 from oracles import SteppingEngine, step_simulate_oracle
 
@@ -50,6 +51,14 @@ def test_geometry_rejects_zero_yield_displacement():
         build_geometry(
             IdealizedBackbone([-3, -2, 0, 0, 1, 2, 3], [-12, -15, -10, 0, 10, 15, 12])
         )
+
+
+def test_geometry_rejects_non_finite_knot():
+    knots_f = [-12, -15, -10, 0, 10, 15, 12]
+    with pytest.raises(ValueError, match="finite"):
+        BackboneGeometry([-3, -2, np.nan, 0, 1, 2, 3], knots_f)
+    with pytest.raises(ValueError, match="finite"):
+        BackboneGeometry([-3, -2, -1, 0, 1, 2, np.inf], knots_f)
 
 
 def test_envelope_interpolant_through_knots(symmetric_backbone):

@@ -14,7 +14,7 @@ from pivotfit import (
 )
 
 
-from oracles import resample_oracle
+from oracles import detect_reversals_oracle, resample_oracle
 
 
 # -- regular reduction ----------------------------------------------------
@@ -78,6 +78,29 @@ def test_reversals_plateau_at_peak():
 def test_reversals_too_short():
     with pytest.raises(ValueError):
         detect_reversals([1.0])
+
+
+def test_reversals_match_loop_oracle():
+    rng = np.random.default_rng(17)
+    histories = [
+        np.zeros(2),
+        np.array([0.0, -0.0]),
+        np.array([-0.0, 0.0, -0.0, 1.0]),
+        np.array([1.0, 2.0]),
+        np.array([2.0, 1.0]),
+        np.full(9, 3.5),
+    ]
+    for _ in range(300):
+        n = int(rng.integers(2, 60))
+        steps = rng.choice([-1.0, 0.0, 1.0], size=n - 1, p=[0.4, 0.2, 0.4])
+        walk = np.concatenate(([0.0], np.cumsum(steps * rng.uniform(0.1, 2, n - 1))))
+        walk[rng.random(n) < 0.1] = -0.0  # signed zeros, mostly on new levels
+        histories.append(walk)
+    for values in histories:
+        found = detect_reversals(values)
+        expected = detect_reversals_oracle(values)
+        assert found.dtype == expected.dtype
+        np.testing.assert_array_equal(found, expected)
 
 
 # -- irregular resampling ---------------------------------------------------
