@@ -7,8 +7,8 @@ so stages are freely re-runnable and byte-reproducible. A JSON config
 file provides defaults; command-line flags override it. A machine-
 readable run manifest accompanies every run.
 
-Exit codes: 0 success, 1 validation or any other failure, 2 I/O
-failure, 3 optimization failure.
+Exit codes: 0 success, 1 validation, usage or any other failure, 2
+I/O failure, 3 optimization failure.
 """
 
 from __future__ import annotations
@@ -398,7 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help, the version or a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     warnings.simplefilter("default")
     try:
         cfg = resolve_config(args)

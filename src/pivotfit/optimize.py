@@ -197,6 +197,36 @@ def _evaluate_population(genes, score, pool):
     return scores
 
 
+def _breed(rng, genes, scores, config: GAConfig, lo, hi):
+    """The next generation: the elites, then children bred in one array
+    pass by tournament selection, blend crossover and Gaussian mutation,
+    clipped to [lo, hi]."""
+    pop_n, n_genes = genes.shape
+    # Draw every random decision for the next generation up front so
+    # evaluation order cannot affect the stream.
+    n_children = pop_n - config.elite_count
+    tourney = rng.integers(0, pop_n, size=(n_children, 2, config.tournament_size))
+    do_cx = rng.random(n_children) < config.crossover_probability
+    blend_u = rng.random((n_children, n_genes))
+    do_mut = rng.random((n_children, n_genes)) < config.mutation_probability
+    mut_step = rng.standard_normal((n_children, n_genes)) * (
+        config.mutation_scale * (hi - lo)
+    )
+
+    elite_idx = np.argsort(scores, kind="stable")[: config.elite_count]
+    # the first best of each tournament is a parent
+    won = np.argmin(scores[tourney], axis=2)[..., None]
+    parents = np.take_along_axis(tourney, won, axis=2)[..., 0]
+    p1, p2 = genes[parents[:, 0]], genes[parents[:, 1]]
+    g_lo = np.minimum(p1, p2)
+    width = np.maximum(p1, p2) - g_lo
+    a = config.crossover_blend_alpha
+    blend = (g_lo - a * width) + blend_u * (1 + 2 * a) * width
+    children = np.where(do_cx[:, None], blend, p1)
+    children = np.where(do_mut, children + mut_step, children)
+    return np.concatenate((genes[elite_idx], np.clip(children, lo, hi)))
+
+
 def fit(
     resampled: SignalPair,
     backbone,
@@ -218,12 +248,9 @@ def fit(
 
     lo = config.bounds.lower()
     hi = config.bounds.upper()
-    span = hi - lo
-    pop_n = config.population_size
-    n_genes = len(PARAM_NAMES)
     rng = np.random.default_rng(config.rng_seed)
 
-    genes = lo + rng.random((pop_n, n_genes)) * span
+    genes = lo + rng.random((config.population_size, len(PARAM_NAMES))) * (hi - lo)
 
     history = ConvergenceHistory()
     best_genes = None
@@ -256,35 +283,7 @@ def fit(
             if generation == config.max_generations or stall >= config.stall_generations:
                 break
 
-            # Draw every random decision for the next generation up front
-            # so evaluation order cannot affect the stream.
-            n_children = pop_n - config.elite_count
-            tourney = rng.integers(0, pop_n, size=(n_children, 2, config.tournament_size))
-            do_cx = rng.random(n_children) < config.crossover_probability
-            blend_u = rng.random((n_children, n_genes))
-            do_mut = rng.random((n_children, n_genes)) < config.mutation_probability
-            mut_step = rng.standard_normal((n_children, n_genes)) * (
-                config.mutation_scale * span
-            )
-
-            elite_idx = np.argsort(scores, kind="stable")[: config.elite_count]
-            next_genes = np.empty_like(genes)
-            next_genes[: config.elite_count] = genes[elite_idx]
-
-            for c in range(n_children):
-                p1 = genes[tourney[c, 0][np.argmin(scores[tourney[c, 0]])]]
-                p2 = genes[tourney[c, 1][np.argmin(scores[tourney[c, 1]])]]
-                if do_cx[c]:
-                    g_lo = np.minimum(p1, p2)
-                    g_hi = np.maximum(p1, p2)
-                    width = g_hi - g_lo
-                    a = config.crossover_blend_alpha
-                    child = (g_lo - a * width) + blend_u[c] * (1 + 2 * a) * width
-                else:
-                    child = p1.copy()
-                child = np.where(do_mut[c], child + mut_step[c], child)
-                next_genes[config.elite_count + c] = np.clip(child, lo, hi)
-            genes = next_genes
+            genes = _breed(rng, genes, scores, config, lo, hi)
     finally:
         if pool is not None:
             pool.shutdown()

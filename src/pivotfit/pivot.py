@@ -42,6 +42,11 @@ samples between two reversals): a run launches its branch once, and
 each stretch of it on one line, on the backbone or on the sub-yield
 elastic lines is filled in bulk with the expressions a sample-by-sample
 evaluation would use, so the loads match that evaluation bit for bit.
+A launch reads the launch geometry of both sides: the degraded elastic
+slope, the extreme-response point, the primary and pinching pivots and
+the reloading slope. These change only when the side's historical
+extreme grows, so each side's geometry is rebuilt only then, with the
+envelope load of the sample that set the new extreme.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ import numpy as np
 
 ETA_SCALE = 100.0  # eta acts per 100 in the degradation shrink factor
 
-# branch kinds, which are also load sources of a response segment
+# load sources of a response segment
 _ENV = 0
 _LINE = 1
 _ELASTIC = 2  # sub-yield shortcut of a never-yielded engine
@@ -124,6 +129,10 @@ class BackboneGeometry:
         self.fy_neg = fy_neg
         self.dy_pos = dy_pos
         self.dy_neg = dy_neg
+        # envelope loads at the yield points; a repeated knot can make
+        # them differ from the yield forces
+        self.f_dy_pos = self.envelope(dy_pos)
+        self.f_dy_neg = self.envelope(dy_neg)
         self.f_min = min(self.knots_f)
         self.f_max = max(self.knots_f)
         self._history = None  # the last history seen, see history()
@@ -184,258 +193,208 @@ def build_geometry(backbone) -> BackboneGeometry:
     return BackboneGeometry(backbone.displacement, backbone.load)
 
 
-class PivotEngine:
-    """Single-owner mutable hysteresis state; see module docstring.
-
-    ``respond`` drives the state over a whole displacement history.
-    Independent instances may run concurrently.
-    """
-
-    def __init__(self, geometry, params: PivotParams):
-        self.geom = build_geometry(geometry)
-        self.params = params
-        self.d = 0.0
-        self.f = 0.0
-        # historical extremes of envelope contact; reloading targets
-        self.d_max = 0.0
-        self.d_min = 0.0
-        self._dir = 0
-        self._branch = _ENV
-        # active line: anchor (ax, ay) and slope; events: list of
-        # (x, kind, payload) in encounter order along the motion
-        self._ax = 0.0
-        self._ay = 0.0
-        self._slope = 0.0
-        self._events = []
-
-    # -- degraded elastic geometry ---------------------------------------
-
-    def _k_cur(self, s: int) -> float:
-        g = self.geom
-        if s > 0:
-            k, d_e, mu = g.k_pos, self.d_max, self.d_max / g.dy_pos
-        else:
-            k, d_e, mu = g.k_neg, self.d_min, self.d_min / g.dy_neg
-        if mu <= 1.0:
-            return k
-        shrink = 1.0 + (self.params.eta / ETA_SCALE) * (mu - 1.0)
+def _side(g: BackboneGeometry, p: PivotParams, s: int, d_x: float, f_x: float):
+    """Launch geometry of the side in direction s, whose historical
+    extreme is d_x with envelope load f_x: degraded elastic slope k,
+    primary pivot (px, py), extreme-response point (d_e, f_e), pinching
+    pivot (ppx, ppy) and the slope of the reloading line through the
+    pinching pivot and the extreme point, 0.0 where no such line ascends
+    or the side has not yielded."""
+    if s > 0:
+        k, dy, f_dy = g.k_pos, g.dy_pos, g.f_dy_pos
+        py = -p.alpha1 * g.fy_pos  # departing positive force: below the axis
+        ppy = p.beta1 * g.fy_pos
+        yielded = d_x > dy
+    else:
+        k, dy, f_dy = g.k_neg, g.dy_neg, g.f_dy_neg
+        py = p.alpha2 * (-g.fy_neg)  # departing negative force: above it
+        ppy = p.beta2 * g.fy_neg
+        yielded = d_x < dy
+    mu = d_x / dy  # peak displacement ductility
+    if mu > 1.0:
+        shrink = 1.0 + (p.eta / ETA_SCALE) * (mu - 1.0)
         # Degradation approaches the secant stiffness of the
         # extreme-response point asymptotically but never reaches it;
         # unloading softer than the secant would invert loop orientation
         # and generate energy.
-        secant = g.envelope(d_e) / d_e
-        if 0.0 < secant < k:
-            return secant + (k - secant) / shrink
-        return k / shrink
+        secant = f_x / d_x
+        k = secant + (k - secant) / shrink if 0.0 < secant < k else k / shrink
+    # the extreme-response point is at least the yield point
+    d_e, f_e = (d_x, f_x) if yielded else (dy, f_dy)
+    ppx = ppy / k
+    r_slope = 0.0
+    # Degradation can push the pinching pivot past the extreme; a
+    # reloading line must ascend toward its target to be usable.
+    if yielded and (d_e - ppx) * s > 0.0:
+        r_slope = (f_e - ppy) / (d_e - ppx)
+    return k, py / k, py, d_e, f_e, yielded, ppx, ppy, r_slope
 
-    def _extreme_point(self, s: int):
-        """Extreme-response point of the side in direction s: the
-        backbone point at the historical extreme, at least the yield
-        point."""
-        g = self.geom
-        if s > 0:
-            d_e = self.d_max if self.d_max > g.dy_pos else g.dy_pos
-        else:
-            d_e = self.d_min if self.d_min < g.dy_neg else g.dy_neg
-        return d_e, g.envelope(d_e)
 
-    def _side_yielded(self, s: int) -> bool:
-        g = self.geom
-        return self.d_max > g.dy_pos if s > 0 else self.d_min < g.dy_neg
-
-    # -- branch construction ----------------------------------------------
-
-    def _launch(self, s: int):
-        """Start the branch for motion direction s from the current point."""
-        x0, y0 = self.d, self.f
-        if self._branch == _ENV and (
-            (s > 0 and x0 >= self.d_max) or (s < 0 and x0 <= self.d_min)
-        ):
-            return  # continue outward on the envelope
-        if y0 * s < 0:
-            self._launch_unloading(s, x0, y0)
-        else:
-            self._launch_toward_extreme(s, x0, y0)
-
-    def _launch_toward_extreme(self, s, x0, y0):
-        d_e, f_e = self._extreme_point(s)
-        if (d_e - x0) * s <= 0.0:
-            self._set_line(x0, y0, 0.0)  # at/past the target: hold load
-            return
-        self._set_line(x0, y0, (f_e - y0) / (d_e - x0))
-        self._events = [(d_e, _ENV, None)]
-
-    def _launch_unloading(self, s, x0, y0):
-        g = self.geom
-        p = self.params
-        k_dep = self._k_cur(-s)  # elastic line of the departure force side
-        if s < 0:  # departing positive force, pivot below the axis
-            py = -p.alpha1 * g.fy_pos
-        else:  # departing negative force, pivot above the axis
-            py = p.alpha2 * (-g.fy_neg)
-        px = py / k_dep
+def _launch(s: int, x0: float, y0: float, dep, tgt):
+    """Slope of the branch that motion in direction s starts from (x0, y0)
+    off the envelope, and its pending events (x, ax, ay, slope): at x the
+    response moves to the line through (ax, ay) with that slope, or onto
+    the envelope where ax is None. dep and tgt are the ``_side`` geometry
+    of the departure side -s and the target side s."""
+    _, _, _, d_e, f_e, yielded, ppx, ppy, r_slope = tgt
+    to_env = (d_e, None, 0.0, 0.0)
+    if y0 * s < 0:
+        # unloading toward the primary pivot of the departure force side
+        k_dep, px, py = dep[:3]
         if (px - x0) * s <= 0.0:
             slope = k_dep  # degenerate: launch point at/past the pivot
         else:
             slope = (py - y0) / (px - x0)
-        self._set_line(x0, y0, slope)
-
-        d_e, f_e = self._extreme_point(s)
-        if self._side_yielded(s):
+        if yielded:
             # reloading line through the pinching pivot and the extreme
-            k_tgt = self._k_cur(s)
-            ppy = p.beta2 * g.fy_neg if s < 0 else p.beta1 * g.fy_pos
-            ppx = ppy / k_tgt
-            # Degradation can push the pinching pivot past the extreme;
-            # a reloading line must ascend toward its target to be usable.
-            if (d_e - ppx) * s > 0.0 and (r_slope := (f_e - ppy) / (d_e - ppx)) > 0.0:
-                x_int = self._intersect(ppx, ppy, r_slope)
-                if (
-                    x_int is not None
-                    and (x_int - x0) * s >= 0.0
-                    and (d_e - x_int) * s > 0.0
-                ):
-                    self._events = [
-                        (x_int, _LINE, (ppx, ppy, r_slope, [(d_e, _ENV, None)]))
-                    ]
-                    return
+            denom = slope - r_slope
+            if r_slope > 0.0 and denom != 0.0:
+                x_int = (ppy - r_slope * ppx - y0 + slope * x0) / denom
+                if (x_int - x0) * s >= 0.0 and (d_e - x_int) * s > 0.0:
+                    return slope, [(x_int, ppx, ppy, r_slope), to_env]
         elif slope != 0.0:
             # never-yielded side: reload from the zero-load crossing
             # straight toward the yield point
             x_zero = x0 - y0 / slope
             if (x_zero - x0) * s >= 0.0 and (d_e - x_zero) * s > 0.0:
-                r_slope = f_e / (d_e - x_zero)
-                self._events = [
-                    (x_zero, _LINE, (x_zero, 0.0, r_slope, [(d_e, _ENV, None)]))
-                ]
-                return
+                return slope, [(x_zero, x_zero, 0.0, f_e / (d_e - x_zero)), to_env]
         # fallback: hold the extreme load level once the line reaches it
         if slope != 0.0:
             x_cap = x0 + (f_e - y0) / slope
             if (x_cap - x0) * s > 0.0:
-                cap_events = [(d_e, _ENV, None)] if (d_e - x_cap) * s > 0.0 else []
-                self._events = [(x_cap, _LINE, (x_cap, f_e, 0.0, cap_events))]
-                return
-        self._events = []
+                if (d_e - x_cap) * s > 0.0:
+                    return slope, [(x_cap, x_cap, f_e, 0.0), to_env]
+                return slope, [(x_cap, x_cap, f_e, 0.0)]
+        return slope, []
+    # the force already has the sign of motion: head for the extreme point
+    if (d_e - x0) * s <= 0.0:
+        return 0.0, []  # at/past the target: hold load
+    return (f_e - y0) / (d_e - x0), [to_env]
 
-    def _set_line(self, ax, ay, slope):
-        self._branch = _LINE
-        self._ax = ax
-        self._ay = ay
-        self._slope = slope
-        self._events = []
 
-    def _intersect(self, bx, by, b_slope):
-        """x where the active line meets the line through (bx, by) with
-        slope b_slope; None if parallel."""
-        denom = self._slope - b_slope
-        if denom == 0.0:
-            return None
-        return (by - b_slope * bx - self._ay + self._slope * self._ax) / denom
+def _respond(g: BackboneGeometry, p: PivotParams, history: "_History") -> np.ndarray:
+    """Load at every sample of a history, from the virgin state.
 
-    # -- run-wise evaluation ------------------------------------------------
-
-    def respond(self, history: "_History") -> np.ndarray:
-        """Load at every sample of a history, from the virgin state.
-
-        Branches launch once per monotone run. Each phase (a stretch of
-        samples on one line, on the envelope or on the sub-yield elastic
-        lines) becomes one segment, and the loads of all segments are
-        filled in bulk at the end with the expressions of their branches.
-        """
-        g = self.geom
-        xs = history.xs
-        m = xs.shape[0]
-        run_ends, run_dirs = history.run_ends, history.run_dirs
-        # segment table: sample counts, then source, line anchor x, y and
-        # slope of each segment
-        lens, segs = [], []
-        i = r = 0
-        while i < m:
-            while run_ends[r] <= i:
-                r += 1
-            b = run_ends[r]
-            if self.d_max <= g.dy_pos and self.d_min >= g.dy_neg:
-                # Neither side has yielded: a sample inside the yield
-                # displacements takes the elastic shortcut, so phases
-                # stop where the history enters or leaves that range.
-                toggles = history.toggles
-                nxt = int(toggles[toggles.searchsorted(i, "right")])
-                if history.inside[i]:
-                    vals = xs[i:nxt].tolist()
-                    hi, lo = max(vals), min(vals)
-                    if hi > self.d_max:
-                        self.d_max = hi
-                    if lo < self.d_min:
-                        self.d_min = lo
-                    self.d = vals[-1]
-                    self.f = float(history.elastic[nxt - 1])
-                    self._dir = 1 if history.up[nxt - 1] else -1
-                    self._branch = _ENV
-                    lens.append(nxt - i)
-                    segs.extend(_ELASTIC_SEGMENT)
-                    i = nxt
-                    continue
-                b = min(b, nxt)
-            s = run_dirs[r]
-            if s != self._dir:
-                self._launch(s)
-                self._dir = s
-            vals = xs[i:b].tolist()  # monotone in direction s
-            n = len(vals)
-            j = 0
-            while True:
-                if self._branch == _ENV:
-                    lo, hi = (vals[j], vals[-1]) if s > 0 else (vals[-1], vals[j])
-                    if hi > self.d_max:
-                        self.d_max = hi
-                    if lo < self.d_min:
-                        self.d_min = lo
-                    self.d = vals[-1]
-                    self.f = float(history.envelope[b - 1])
-                    lens.append(n - j)
-                    segs.extend(_ENV_SEGMENT)
-                    break
-                # The first sample with (x - ex)*s >= 0 reaches the next
-                # event: x >= ex moving up, -x >= -ex moving down. A NaN
-                # event point is never reached.
-                k = n
-                if self._events:
-                    ex = self._events[0][0]
-                    if ex == ex:
-                        if s > 0:
-                            k = bisect_left(vals, ex, j)
-                        else:
-                            k = bisect_left(vals, -ex, j, key=neg)
-                if k > j:
-                    lens.append(k - j)
-                    segs.extend((_LINE, self._ax, self._ay, self._slope))
-                if k == n:
-                    self.d = vals[-1]
-                    self.f = self._ay + self._slope * (vals[-1] - self._ax)
-                    break
-                _, kind, payload = self._events.pop(0)
-                if kind == _ENV:
-                    self._branch = _ENV
+    Branches launch once per monotone run. Each phase (a stretch of
+    samples on one line, on the envelope or on the sub-yield elastic
+    lines) becomes one segment, and the loads of all segments are filled
+    in bulk at the end with the expressions of their branches.
+    """
+    xs = history.xs
+    m = xs.shape[0]
+    run_ends, run_dirs = history.run_ends, history.run_dirs
+    env_loads = history.envelope
+    dy_pos, dy_neg = g.dy_pos, g.dy_neg
+    # current point; historical extremes of envelope contact and the
+    # envelope loads there; motion direction; whether the response is on
+    # the envelope, else on the line through (ax, ay) with that slope
+    d = f = 0.0
+    d_max = d_min = f_max = f_min = 0.0
+    direction = 0
+    on_env = True
+    ax = ay = slope = 0.0
+    events = []
+    # launch geometry of each side, rebuilt when that side's extreme grows
+    pos_key = neg_key = pos_side = neg_side = None
+    # segment table: sample counts, then source, line anchor x, y and
+    # slope of each segment
+    lens, segs = [], []
+    i = r = 0
+    while i < m:
+        while run_ends[r] <= i:
+            r += 1
+        b = run_ends[r]
+        if d_max <= dy_pos and d_min >= dy_neg:
+            # Neither side has yielded: a sample inside the yield
+            # displacements takes the elastic shortcut, so phases stop
+            # where the history enters or leaves that range.
+            toggles = history.toggles
+            nxt = int(toggles[toggles.searchsorted(i, "right")])
+            if history.inside[i]:
+                vals = xs[i:nxt].tolist()
+                hi, lo = max(vals), min(vals)
+                if hi > d_max:
+                    d_max = hi
+                if lo < d_min:
+                    d_min = lo
+                d = vals[-1]
+                f = float(history.elastic[nxt - 1])
+                direction = 1 if history.up[nxt - 1] else -1
+                on_env = True
+                lens.append(nxt - i)
+                segs.extend(_ELASTIC_SEGMENT)
+                i = nxt
+                continue
+            b = min(b, nxt)
+        s = run_dirs[r]
+        if s != direction:
+            direction = s
+            # on the envelope at the extreme, motion continues outward on it
+            if not (on_env and (d >= d_max if s > 0 else d <= d_min)):
+                if pos_key != d_max:
+                    pos_key, pos_side = d_max, _side(g, p, 1, d_max, f_max)
+                if neg_key != d_min:
+                    neg_key, neg_side = d_min, _side(g, p, -1, d_min, f_min)
+                on_env = False
+                ax, ay = d, f
+                if s > 0:
+                    slope, events = _launch(s, d, f, neg_side, pos_side)
                 else:
-                    ax, ay, slope, events = payload
-                    self._set_line(ax, ay, slope)
-                    self._events = events
-                j = k
-            i = b
+                    slope, events = _launch(s, d, f, pos_side, neg_side)
+        vals = xs[i:b].tolist()  # monotone in direction s
+        n = len(vals)
+        j = 0
+        while True:
+            if on_env:
+                # the lowest or highest sample may set a new extreme
+                k_lo, k_hi = (j, n - 1) if s > 0 else (n - 1, j)
+                if vals[k_hi] > d_max:
+                    d_max, f_max = vals[k_hi], float(env_loads[i + k_hi])
+                if vals[k_lo] < d_min:
+                    d_min, f_min = vals[k_lo], float(env_loads[i + k_lo])
+                d = vals[-1]
+                f = float(env_loads[b - 1])
+                lens.append(n - j)
+                segs.extend(_ENV_SEGMENT)
+                break
+            # The first sample with (x - ex)*s >= 0 reaches the next
+            # event: x >= ex moving up, -x >= -ex moving down. A NaN
+            # event point is never reached.
+            k = n
+            if events:
+                ex = events[0][0]
+                if ex == ex:
+                    if s > 0:
+                        k = bisect_left(vals, ex, j)
+                    else:
+                        k = bisect_left(vals, -ex, j, key=neg)
+            if k > j:
+                lens.append(k - j)
+                segs.extend((_LINE, ax, ay, slope))
+            if k == n:
+                d = vals[-1]
+                f = ay + slope * (vals[-1] - ax)
+                break
+            _, next_ax, next_ay, next_slope = events.pop(0)
+            if next_ax is None:
+                on_env = True
+            else:
+                ax, ay, slope = next_ax, next_ay, next_slope
+            j = k
+        i = b
 
-        nseg = len(lens)
-        table = np.fromiter(segs, float, 4 * nseg).reshape(nseg, 4)
-        source, ax, ay, slope = np.repeat(table.T, lens, axis=1)
-        loads = xs - ax  # then ay + slope*(x - ax), in place
-        loads *= slope
-        loads += ay
-        np.copyto(loads, history.envelope, where=source == _ENV)
-        np.copyto(loads, history.elastic, where=source == _ELASTIC)
-        if history.fill is not None:
-            # a repeated sample returns the load of the sample it repeats
-            loads = np.concatenate(([0.0], loads))[history.fill]
-        return loads
+    nseg = len(lens)
+    table = np.fromiter(segs, float, 4 * nseg).reshape(nseg, 4)
+    source, ax, ay, slope = np.repeat(table.T, lens, axis=1)
+    loads = xs - ax  # then ay + slope*(x - ax), in place
+    loads *= slope
+    loads += ay
+    np.copyto(loads, env_loads, where=source == _ENV)
+    np.copyto(loads, history.elastic, where=source == _ELASTIC)
+    if history.fill is not None:
+        # a repeated sample returns the load of the sample it repeats
+        loads = np.concatenate(([0.0], loads))[history.fill]
+    return loads
 
 
 class _History:
@@ -496,5 +455,5 @@ def simulate(backbone, params: PivotParams, displacements) -> np.ndarray:
     displacement. Deterministic: identical inputs give identical
     outputs.
     """
-    engine = PivotEngine(backbone, params)
-    return engine.respond(engine.geom.history(displacements))
+    geom = build_geometry(backbone)
+    return _respond(geom, params, geom.history(displacements))

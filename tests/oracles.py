@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from pivotfit.ingest import ParseError, SignalPair, format_number, validate
-from pivotfit.pivot import _ENV, PivotEngine
+from pivotfit.pivot import PivotParams, build_geometry
 
 
 def load_record_oracle(path, delimiter=",", displacement_column=0, load_column=1):
@@ -172,6 +172,40 @@ def envelope_oracle(disp, load):
     return out
 
 
+def breed_loop_oracle(rng, genes, scores, config, lo, hi):
+    """The next GA generation bred one child at a time; the reference
+    that the one-pass ``optimize._breed`` must match bit for bit."""
+    pop_n, n_genes = genes.shape
+    span = hi - lo
+    n_children = pop_n - config.elite_count
+    tourney = rng.integers(0, pop_n, size=(n_children, 2, config.tournament_size))
+    do_cx = rng.random(n_children) < config.crossover_probability
+    blend_u = rng.random((n_children, n_genes))
+    do_mut = rng.random((n_children, n_genes)) < config.mutation_probability
+    mut_step = rng.standard_normal((n_children, n_genes)) * (
+        config.mutation_scale * span
+    )
+
+    elite_idx = np.argsort(scores, kind="stable")[: config.elite_count]
+    next_genes = np.empty_like(genes)
+    next_genes[: config.elite_count] = genes[elite_idx]
+
+    for c in range(n_children):
+        p1 = genes[tourney[c, 0][np.argmin(scores[tourney[c, 0]])]]
+        p2 = genes[tourney[c, 1][np.argmin(scores[tourney[c, 1]])]]
+        if do_cx[c]:
+            g_lo = np.minimum(p1, p2)
+            g_hi = np.maximum(p1, p2)
+            width = g_hi - g_lo
+            a = config.crossover_blend_alpha
+            child = (g_lo - a * width) + blend_u[c] * (1 + 2 * a) * width
+        else:
+            child = p1.copy()
+        child = np.where(do_mut[c], child + mut_step[c], child)
+        next_genes[config.elite_count + c] = np.clip(child, lo, hi)
+    return next_genes
+
+
 def score_loop_oracle(a, b):
     total = 0.0
     for x, y in zip(a, b):
@@ -198,12 +232,163 @@ def random_cyclic_record(rng, n_cycles=None):
     return np.array(disp), np.array(load)
 
 
-class SteppingEngine(PivotEngine):
+# branch kinds of the stepping engine
+_ENV = 0
+_LINE = 1
+ETA_SCALE = 100.0  # eta acts per 100 in the degradation shrink factor
+
+
+class SteppingEngine:
     """The Pivot engine advanced one displacement sample at a time.
 
-    Shares branch launch and event logic with the library engine; only
-    the per-sample stepping lives here.
+    Recomputes the launch geometry of both sides at every branch launch,
+    straight from the rules in the ``pivotfit.pivot`` docstring; only the
+    backbone geometry is shared with the library.
     """
+
+    def __init__(self, geometry, params: PivotParams):
+        self.geom = build_geometry(geometry)
+        self.params = params
+        self.d = 0.0
+        self.f = 0.0
+        # historical extremes of envelope contact; reloading targets
+        self.d_max = 0.0
+        self.d_min = 0.0
+        self._dir = 0
+        self._branch = _ENV
+        # active line: anchor (ax, ay) and slope; events: list of
+        # (x, kind, payload) in encounter order along the motion
+        self._ax = 0.0
+        self._ay = 0.0
+        self._slope = 0.0
+        self._events = []
+
+    # -- degraded elastic geometry ---------------------------------------
+
+    def _k_cur(self, s: int) -> float:
+        g = self.geom
+        if s > 0:
+            k, d_e, mu = g.k_pos, self.d_max, self.d_max / g.dy_pos
+        else:
+            k, d_e, mu = g.k_neg, self.d_min, self.d_min / g.dy_neg
+        if mu <= 1.0:
+            return k
+        shrink = 1.0 + (self.params.eta / ETA_SCALE) * (mu - 1.0)
+        # Degradation approaches the secant stiffness of the
+        # extreme-response point asymptotically but never reaches it;
+        # unloading softer than the secant would invert loop orientation
+        # and generate energy.
+        secant = g.envelope(d_e) / d_e
+        if 0.0 < secant < k:
+            return secant + (k - secant) / shrink
+        return k / shrink
+
+    def _extreme_point(self, s: int):
+        """Extreme-response point of the side in direction s: the
+        backbone point at the historical extreme, at least the yield
+        point."""
+        g = self.geom
+        if s > 0:
+            d_e = self.d_max if self.d_max > g.dy_pos else g.dy_pos
+        else:
+            d_e = self.d_min if self.d_min < g.dy_neg else g.dy_neg
+        return d_e, g.envelope(d_e)
+
+    def _side_yielded(self, s: int) -> bool:
+        g = self.geom
+        return self.d_max > g.dy_pos if s > 0 else self.d_min < g.dy_neg
+
+    # -- branch construction ----------------------------------------------
+
+    def _launch(self, s: int):
+        """Start the branch for motion direction s from the current point."""
+        x0, y0 = self.d, self.f
+        if self._branch == _ENV and (
+            (s > 0 and x0 >= self.d_max) or (s < 0 and x0 <= self.d_min)
+        ):
+            return  # continue outward on the envelope
+        if y0 * s < 0:
+            self._launch_unloading(s, x0, y0)
+        else:
+            self._launch_toward_extreme(s, x0, y0)
+
+    def _launch_toward_extreme(self, s, x0, y0):
+        d_e, f_e = self._extreme_point(s)
+        if (d_e - x0) * s <= 0.0:
+            self._set_line(x0, y0, 0.0)  # at/past the target: hold load
+            return
+        self._set_line(x0, y0, (f_e - y0) / (d_e - x0))
+        self._events = [(d_e, _ENV, None)]
+
+    def _launch_unloading(self, s, x0, y0):
+        g = self.geom
+        p = self.params
+        k_dep = self._k_cur(-s)  # elastic line of the departure force side
+        if s < 0:  # departing positive force, pivot below the axis
+            py = -p.alpha1 * g.fy_pos
+        else:  # departing negative force, pivot above the axis
+            py = p.alpha2 * (-g.fy_neg)
+        px = py / k_dep
+        if (px - x0) * s <= 0.0:
+            slope = k_dep  # degenerate: launch point at/past the pivot
+        else:
+            slope = (py - y0) / (px - x0)
+        self._set_line(x0, y0, slope)
+
+        d_e, f_e = self._extreme_point(s)
+        if self._side_yielded(s):
+            # reloading line through the pinching pivot and the extreme
+            k_tgt = self._k_cur(s)
+            ppy = p.beta2 * g.fy_neg if s < 0 else p.beta1 * g.fy_pos
+            ppx = ppy / k_tgt
+            # Degradation can push the pinching pivot past the extreme;
+            # a reloading line must ascend toward its target to be usable.
+            if (d_e - ppx) * s > 0.0 and (r_slope := (f_e - ppy) / (d_e - ppx)) > 0.0:
+                x_int = self._intersect(ppx, ppy, r_slope)
+                if (
+                    x_int is not None
+                    and (x_int - x0) * s >= 0.0
+                    and (d_e - x_int) * s > 0.0
+                ):
+                    self._events = [
+                        (x_int, _LINE, (ppx, ppy, r_slope, [(d_e, _ENV, None)]))
+                    ]
+                    return
+        elif slope != 0.0:
+            # never-yielded side: reload from the zero-load crossing
+            # straight toward the yield point
+            x_zero = x0 - y0 / slope
+            if (x_zero - x0) * s >= 0.0 and (d_e - x_zero) * s > 0.0:
+                r_slope = f_e / (d_e - x_zero)
+                self._events = [
+                    (x_zero, _LINE, (x_zero, 0.0, r_slope, [(d_e, _ENV, None)]))
+                ]
+                return
+        # fallback: hold the extreme load level once the line reaches it
+        if slope != 0.0:
+            x_cap = x0 + (f_e - y0) / slope
+            if (x_cap - x0) * s > 0.0:
+                cap_events = [(d_e, _ENV, None)] if (d_e - x_cap) * s > 0.0 else []
+                self._events = [(x_cap, _LINE, (x_cap, f_e, 0.0, cap_events))]
+                return
+        self._events = []
+
+    def _set_line(self, ax, ay, slope):
+        self._branch = _LINE
+        self._ax = ax
+        self._ay = ay
+        self._slope = slope
+        self._events = []
+
+    def _intersect(self, bx, by, b_slope):
+        """x where the active line meets the line through (bx, by) with
+        slope b_slope; None if parallel."""
+        denom = self._slope - b_slope
+        if denom == 0.0:
+            return None
+        return (by - b_slope * bx - self._ay + self._slope * self._ax) / denom
+
+    # -- stepping ---------------------------------------------------------
 
     def step(self, d_next: float) -> float:
         """Advance to displacement d_next and return the load there."""

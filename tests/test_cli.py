@@ -1,12 +1,13 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
 import pivotfit.cli
 from pivotfit import IdealizedBackbone, PivotParams, SignalPair, simulate, write_record
-from pivotfit.cli import main
+from pivotfit.cli import entrypoint, main
 from pivotfit.optimize import FitError
 from conftest import uniform_grid_protocol
 
@@ -189,16 +190,38 @@ def _raise_fit_error(*args, **kwargs):
     [
         ("fit_error", 3, "pivotfit: stage 'fit': no candidate could be evaluated\n"),
         ("outdir_not_a_path", 1, "pivotfit: "),
+        ("bad_flag_value", 1, "usage: pivotfit pipeline "),
+        ("unknown_command", 1, "usage: pivotfit "),
+        ("no_arguments", 1, "usage: pivotfit "),
     ],
 )
 def test_exit_codes(workdir, monkeypatch, capsys, case, code, stderr):
     tmp, raw, out, config = workdir
+    argv = ["pipeline", "--config", str(config)]
     if case == "fit_error":
         monkeypatch.setattr(pivotfit.cli, "fit", _raise_fit_error)
-    else:
+    elif case == "outdir_not_a_path":
         config.write_text(json.dumps({"input": str(raw), "outdir": 5}))
-    assert main(["pipeline", "--config", str(config)]) == code
+    else:
+        argv = {
+            "bad_flag_value": [*argv, "--step", "two"],
+            "unknown_command": ["frobnicate"],
+            "no_arguments": [],
+        }[case]
+    assert main(argv) == code
     assert capsys.readouterr().err.startswith(stderr)
+    # the console script exits with the code main returns
+    monkeypatch.setattr(sys, "argv", ["pivotfit", *argv])
+    with pytest.raises(SystemExit) as exited:
+        entrypoint()
+    assert exited.value.code == code
+
+
+def test_help_and_version_exit_zero(capsys):
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"{pivotfit.__version__}\n"
+    assert main(["pipeline", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: pivotfit pipeline ")
 
 
 @pytest.mark.parametrize(

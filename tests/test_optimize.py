@@ -14,7 +14,8 @@ from pivotfit import (
     fit,
     simulate,
 )
-from oracles import score_loop_oracle as loop_oracle
+from pivotfit.optimize import _breed
+from oracles import breed_loop_oracle, score_loop_oracle as loop_oracle
 
 
 def test_score_identical_is_zero():
@@ -50,6 +51,44 @@ def test_score_matches_loop_oracle_exactly(values):
     a = np.asarray(values)
     b = rng.normal(0, 10, a.shape)
     assert deviation_score(a, b) == loop_oracle(a.tolist(), b.tolist())
+
+
+@pytest.mark.parametrize(
+    "pop, elite, tournament, cx, mut, blend",
+    [
+        (50, 2, 3, 0.9, 0.1, 0.5),  # the defaults
+        (50, 0, 3, 0.9, 0.1, 0.3),
+        (50, 49, 3, 0.9, 0.1, 0.3),
+        (12, 2, 1, 0.9, 0.1, 0.0),
+        (5, 1, 9, 0.5, 0.5, 0.3),  # tournaments larger than the population
+        (1, 0, 2, 1.0, 1.0, 0.3),
+        (8, 3, 2, 0.0, 0.0, 0.3),
+    ],
+)
+def test_breed_matches_loop_oracle(pop, elite, tournament, cx, mut, blend):
+    bounds = ParamBounds(beta2=(0.3, 0.3))  # one gene with an empty range
+    config = GAConfig(
+        population_size=pop,
+        elite_count=elite,
+        tournament_size=tournament,
+        crossover_probability=cx,
+        mutation_probability=mut,
+        crossover_blend_alpha=blend,
+        bounds=bounds,
+    )
+    lo, hi = bounds.lower(), bounds.upper()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        genes = lo + rng.random((pop, 5)) * (hi - lo)
+        # tied, failed (inf) and NaN scores
+        scores = np.round(rng.normal(size=pop), 1)
+        scores[rng.random(pop) < 0.2] = np.inf
+        scores[rng.random(pop) < 0.05] = np.nan
+        bred, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _breed(bred, genes, scores, config, lo, hi)
+        expected = breed_loop_oracle(looped, genes, scores, config, lo, hi)
+        assert got.tobytes() == expected.tobytes()
+        assert bred.random() == looped.random()  # the same draws were made
 
 
 def test_evaluate_self_consistency(round_trip_record):

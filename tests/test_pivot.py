@@ -67,6 +67,28 @@ def test_envelope_interpolant_through_knots(symmetric_backbone):
         assert g.envelope(d) == f
 
 
+def test_envelope_at_matches_envelope_bit_for_bit():
+    rng = np.random.default_rng(35)
+    for trial in range(400):
+        bb = backbone_with_repeated_knots(rng) if trial % 2 else random_backbone(rng)
+        knots_f = list(bb.load)
+        if trial % 3 == 0:
+            knots_f[3] = -0.0  # a signed-zero origin load
+        g = BackboneGeometry(bb.displacement, knots_f)
+        kd = np.array(g.knots_d)
+        points = np.concatenate(
+            [
+                kd,
+                np.nextafter(kd, np.inf),
+                np.nextafter(kd, -np.inf),
+                [kd[0] - 1.0, kd[6] + 1.0, -1e300, 1e300, 0.0, -0.0],
+                rng.uniform(kd[0] - 0.5, kd[6] + 0.5, 50),
+            ]
+        )
+        expected = np.array([g.envelope(float(v)) for v in points])
+        assert g.envelope_at(points).tobytes() == expected.tobytes()
+
+
 def test_elastic_ramp(symmetric_backbone):
     params = PivotParams(2, 2, 0.5, 0.5, 100.0)
     ramp = np.linspace(0, 0.5, 11)  # within half the yield displacement
@@ -337,6 +359,55 @@ def test_simulate_bit_identical_to_step_oracle(symmetric_backbone, asymmetric_ba
             assert simulate(g, params, h).tobytes() == expected
             assert simulate(bb, params, h).tobytes() == expected
     assert events > 450  # the event-point samples were exercised
+
+
+def backbone_with_repeated_knots(rng):
+    """A random backbone whose knots repeat on one or both sides; on the
+    negative side the envelope load at the yield displacement is then
+    not the yield force."""
+    bb = random_backbone(rng)
+    d = list(bb.displacement)
+    for i, j in ((1, 2), (0, 1), (5, 4), (6, 5)):  # knot i copies knot j
+        if rng.random() < 0.5:
+            d[i] = d[j]
+    return IdealizedBackbone(d, bb.load)
+
+
+def ulp_growth_history(rng, g):
+    """Cycles whose positive and negative extremes each grow by one ulp
+    per cycle, from the yield displacements or from beyond them."""
+    if rng.random() < 0.5:
+        pos, neg = g.dy_pos, g.dy_neg
+    else:
+        pos, neg = rng.uniform(1.0, 2.0) * g.dy_pos, rng.uniform(1.0, 2.0) * g.dy_neg
+    peaks = []
+    for _ in range(6):
+        peaks += [pos, neg]
+        pos, neg = np.nextafter(pos, np.inf), np.nextafter(neg, -np.inf)
+    return triangle_protocol(peaks, pts=int(rng.integers(2, 12)))
+
+
+def test_simulate_matches_oracle_on_ulp_growth_and_repeated_knots(
+    symmetric_backbone, asymmetric_backbone
+):
+    rng = np.random.default_rng(34)
+    repeats = 0
+    for trial in range(300):
+        if trial % 2:
+            bb = backbone_with_repeated_knots(rng)
+        else:
+            bb = (symmetric_backbone, asymmetric_backbone, random_backbone(rng))[trial // 2 % 3]
+        g = build_geometry(bb)
+        repeats += g.envelope(g.dy_neg) != g.fy_neg
+        params = random_params(rng)
+        if trial % 4 < 2:
+            hist = ulp_growth_history(rng, g)
+        else:
+            hist = random_history(rng, g, trial // 4 % 3)
+        for h in (hist, with_event_points(g, params, hist), -hist):
+            expected = step_simulate_oracle(g, params, h).tobytes()
+            assert simulate(g, params, h).tobytes() == expected
+    assert repeats > 30  # the yield-point envelope load was not the yield force
 
 
 def refine(hist, k):
