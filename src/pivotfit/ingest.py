@@ -7,16 +7,21 @@ treated as a header and skipped; a first row with one numeric designated
 cell is data and must parse in full. Units are metadata only and are
 never converted.
 
-Files are read in blocks of lines. A regular block (every line with the
-same number of cells) is parsed column-wise: one join and split per
-block and ``float`` on each designated column. If any block is
-irregular, the file is read again line by line; that walk yields the
-same arrays, or raises ParseError naming the first bad line. Writers
-format whole columns with one row format.
+Files are read by numpy's C text reader (``np.loadtxt``) from one of
+two sources: the path itself, when the delimiter is one non-whitespace
+character, or else (and when numpy refuses the path) the file's
+stripped, non-blank lines. Where numpy accepts a cell its value is
+``float(cell)``. A file numpy refuses from both sources, and any file
+with a multi-character delimiter, is walked line by line; the walk
+yields the same arrays, or raises ParseError naming the first bad line.
+Memory follows the parsed columns, not the text. Writers format whole
+columns with one row format.
 """
 
 from __future__ import annotations
 
+import os
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -104,10 +109,9 @@ def validate(pair: SignalPair) -> SignalPair:
     return pair
 
 
-# Characters read per block by load_record, about 2.5k typical lines:
-# memory follows the block and not the file, and the block's strings
-# stay in the CPU caches.
-_BLOCK_CHARS = 1 << 16
+# Suffixes for which np.loadtxt, given a path, unpacks the file as an
+# archive; load_record reads every file as plain text.
+_ARCHIVE_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _parse_cell(text: str):
@@ -121,49 +125,55 @@ def _is_header(line: str, delimiter: str, needed) -> bool:
     """The header rule, applied to the first non-blank line of a file: a
     header has no designated cell that parses as a number."""
     cells = [c.strip() for c in line.split(delimiter)]
-    return all(_parse_cell(cells[c]) is None for c in needed if c < len(cells))
+    n = len(cells)
+    return all(_parse_cell(cells[c]) is None for c in needed if -n <= c < n)
 
 
-def _read_blocks(fh, delimiter, displacement_column, load_column, ncols):
-    """Both designated columns of a regular file, parsed one block of
-    lines at a time, or None if any block is irregular.
-
-    A block is regular when all its non-blank lines hold the same number
-    k >= ncols of cells and every designated cell is accepted by
-    ``float``; its cells then come from one join and split.
-    """
-    if len(delimiter) != 1 or min(displacement_column, load_column) < 0:
-        # a joined multi-character delimiter can straddle two lines, and
-        # a negative column counts from the end of each line
+def _loadtxt(source, skiprows, delimiter, columns):
+    """The designated columns of ``source`` as an (n, 2) array from
+    numpy's C reader, or None if numpy refuses the source or warns."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(
+                source,
+                delimiter=delimiter,
+                comments=None,
+                usecols=columns,
+                skiprows=skiprows,
+                ndmin=2,
+                encoding="utf-8-sig",
+            )
+    except (ValueError, TypeError, Warning):
         return None
-    disp, load = [np.empty(0)], [np.empty(0)]
-    header_checked = False
-    while block := fh.readlines(_BLOCK_CHARS):
-        lines = [line for raw in block if (line := raw.strip())]
-        if lines and not header_checked:
-            header_checked = True
-            if _is_header(lines[0], delimiter, (displacement_column, load_column)):
-                del lines[0]
-        if not lines:
-            continue
-        k = lines[0].count(delimiter) + 1
-        n = len(lines)
-        # Every line but the first starts its first cell with "\n", so
-        # all lines hold k cells iff there are k * n cells and each of
-        # cells[k], cells[2k], ... starts a line.
-        cells = (delimiter + "\n").join(lines).split(delimiter)
-        if (
-            k < ncols
-            or len(cells) != k * n
-            or "".join(cells[k::k]).count("\n") != n - 1
-        ):
+
+
+def _read_table(path, delimiter, columns):
+    """The designated columns as an (n, 2) array read by numpy, or None
+    if numpy refuses the file.
+
+    Where numpy accepts a cell its value is ``float(cell)``: both parse
+    with ``PyOS_string_to_double``, and a cell only ``float`` accepts
+    (``1_0``, non-ASCII digits) makes numpy refuse the file.
+    """
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for lineno, raw in enumerate(fh):
+            if line := raw.strip():
+                break
+        else:
             return None
-        try:
-            disp.append(np.fromiter(map(float, cells[displacement_column::k]), float, n))
-            load.append(np.fromiter(map(float, cells[load_column::k]), float, n))
-        except ValueError:
-            return None
-    return np.concatenate(disp), np.concatenate(load)
+        header = int(_is_header(line, delimiter, columns))
+    # The path is the fast source: numpy reads the file in chunks. It
+    # gives the walk's cells only where stripping a line cannot move a
+    # cell boundary, so not for a whitespace delimiter. The stripped lines
+    # serve that case and whitespace-only lines, which numpy refuses.
+    if not delimiter.isspace() and os.path.splitext(path)[1] not in _ARCHIVE_SUFFIXES:
+        # absolute, so numpy cannot take the path for a URL
+        table = _loadtxt(os.path.abspath(path), lineno + header, delimiter, columns)
+        if table is not None:
+            return table
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        return _loadtxt(filter(None, map(str.strip, fh)), header, delimiter, columns)
 
 
 def _walk_lines(fh, path, delimiter, displacement_column, load_column, ncols):
@@ -210,19 +220,21 @@ def load_record(
 ) -> SignalPair:
     """Read a delimiter-separated record into a validated SignalPair.
 
-    Column indices are 0-based. Whitespace-only and fully empty lines are
-    ignored, and a leading UTF-8 byte order mark is dropped. Errors carry
-    1-based line numbers. The file is read block-wise and, if a block is
-    irregular, again line by line (see the module docstring).
+    Column indices are 0-based; a negative index counts from the end of
+    each line. Whitespace-only and fully empty lines are ignored, and a
+    leading UTF-8 byte order mark is dropped. Errors carry 1-based line
+    numbers. The file is read by numpy and, if numpy refuses it, line by
+    line (see the module docstring).
     """
-    ncols = max(displacement_column, load_column) + 1
-    args = (delimiter, displacement_column, load_column, ncols)
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        columns = _read_blocks(fh, *args)
-    if columns is None:
+    columns = (displacement_column, load_column)
+    # column c >= 0 is cell c + 1 of a line, column c < 0 is cell -c from its end
+    ncols = max(c + 1 if c >= 0 else -c for c in columns)
+    table = _read_table(path, delimiter, columns) if len(delimiter) == 1 else None
+    if table is not None:
+        disp, load = table.T.copy()  # each column contiguous, as the walk's
+    else:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            columns = _walk_lines(fh, path, *args)
-    disp, load = columns
+            disp, load = _walk_lines(fh, path, delimiter, *columns, ncols)
     if len(disp) < 2:
         raise ParseError(
             f"too short: found {len(disp)} data rows, need at least 2", path=path

@@ -14,7 +14,6 @@ no matter how many worker processes evaluate the population.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -182,16 +181,22 @@ def _init_worker(score):
     _WORKER_SCORE = score
 
 
+def _score_all(score, genes):
+    return np.fromiter(map(score, genes), float, genes.shape[0])
+
+
 def _eval_worker(genes):
-    return _WORKER_SCORE(genes)
+    return _score_all(_WORKER_SCORE, genes)
 
 
-def _evaluate_population(genes, score, pool):
+def _evaluate_population(genes, score, pool, workers):
     if pool is None:
-        results = map(score, genes)
+        scores = _score_all(score, genes)
     else:
-        results = pool.map(_eval_worker, genes, chunksize=8)
-    scores = np.fromiter(results, float, genes.shape[0])
+        # one contiguous slice of the population per worker
+        scores = np.concatenate(
+            list(pool.map(_eval_worker, np.array_split(genes, workers)))
+        )
     if not np.isfinite(scores).any():
         raise FitError("every individual of a generation failed to evaluate")
     return scores
@@ -260,13 +265,16 @@ def fit(
     pool = None
     try:
         if config.workers > 1:
+            # imported here: a serial run does not pay for the import
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(
                 max_workers=config.workers,
                 initializer=_init_worker,
                 initargs=(score,),
             )
         for generation in range(1, config.max_generations + 1):
-            scores = _evaluate_population(genes, score, pool)
+            scores = _evaluate_population(genes, score, pool, config.workers)
 
             gen_best = int(np.argmin(scores))
             if scores[gen_best] < best_score:

@@ -14,7 +14,7 @@ from pivotfit.pivot import PivotParams, build_geometry
 
 def load_record_oracle(path, delimiter=",", displacement_column=0, load_column=1):
     """The record loader walked one line and one cell at a time; the
-    reference that the block-wise ``load_record`` must match."""
+    reference that ``load_record`` must match."""
 
     def parse(text):
         try:
@@ -22,7 +22,8 @@ def load_record_oracle(path, delimiter=",", displacement_column=0, load_column=1
         except ValueError:
             return None
 
-    ncols = max(displacement_column, load_column) + 1
+    needed = (displacement_column, load_column)
+    ncols = max(c + 1 if c >= 0 else -c for c in needed)
     disp, load = [], []
     with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.readlines()
@@ -34,8 +35,8 @@ def load_record_oracle(path, delimiter=",", displacement_column=0, load_column=1
         cells = [c.strip() for c in line.split(delimiter)]
         if first_line:
             first_line = False
-            needed = (displacement_column, load_column)
-            if all(parse(cells[c]) is None for c in needed if c < len(cells)):
+            n = len(cells)
+            if all(parse(cells[c]) is None for c in needed if -n <= c < n):
                 continue  # header line
         if len(cells) < ncols:
             raise ParseError(

@@ -181,6 +181,15 @@ def test_bad_cell_reports_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_negative_column_beyond_a_row_reports_line(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("0,1\n1,2\n2,3\n")
+    args = ["pipeline", "--input", str(raw), "--outdir", str(tmp_path / "out")]
+    code = main(args + ["--load-column", "-3"])
+    assert code == 1
+    assert "line 1: expected at least 3 columns, found 2" in capsys.readouterr().err
+
+
 def _raise_fit_error(*args, **kwargs):
     raise FitError("no candidate could be evaluated")
 
