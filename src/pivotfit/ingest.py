@@ -14,8 +14,10 @@ stripped, non-blank lines. Where numpy accepts a cell its value is
 ``float(cell)``. A file numpy refuses from both sources, and any file
 with a multi-character delimiter, is walked line by line; the walk
 yields the same arrays, or raises ParseError naming the first bad line.
-Memory follows the parsed columns, not the text. Writers format whole
-columns with one row format.
+A byte that is not UTF-8 raises ParseError naming its line. Memory
+follows the parsed columns, not the text. Writers stack the columns
+once and write a block of rows at a time, each block formatted by one
+``%`` operation.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ import numpy as np
 # Significant digits used for all numeric text output; preserves 32-bit
 # sensor precision with margin.
 OUTPUT_PRECISION = 9
+
+# Rows formatted by one '%' operation in write_columns: on a 124,801-row
+# record, blocks of 4096 rows wrote faster than blocks of 512 or 16384.
+_WRITE_BLOCK_ROWS = 4096
 
 
 class ParseError(ValueError):
@@ -144,6 +150,8 @@ def _loadtxt(source, skiprows, delimiter, columns):
                 ndmin=2,
                 encoding="utf-8-sig",
             )
+    except UnicodeDecodeError:
+        raise  # not text: no other source can read it
     except (ValueError, TypeError, Warning):
         return None
 
@@ -210,6 +218,21 @@ def _walk_lines(fh, path, delimiter, displacement_column, load_column, ncols):
     return np.array(disp), np.array(load)
 
 
+def _not_utf8(path) -> ParseError:
+    """ParseError naming the line of the first byte of ``path`` that is
+    not UTF-8; lines end as in text mode, at \\n, \\r\\n or \\r."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")  # a byte order mark decodes, so offsets stay absolute
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start] + b".").splitlines())
+        return ParseError(
+            f"byte 0x{data[exc.start]:02x} is not UTF-8 text", path=path, line=line
+        )
+    return ParseError("not UTF-8 text", path=path)  # changed since it was read
+
+
 def load_record(
     path,
     delimiter: str = ",",
@@ -229,12 +252,15 @@ def load_record(
     columns = (displacement_column, load_column)
     # column c >= 0 is cell c + 1 of a line, column c < 0 is cell -c from its end
     ncols = max(c + 1 if c >= 0 else -c for c in columns)
-    table = _read_table(path, delimiter, columns) if len(delimiter) == 1 else None
-    if table is not None:
-        disp, load = table.T.copy()  # each column contiguous, as the walk's
-    else:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            disp, load = _walk_lines(fh, path, delimiter, *columns, ncols)
+    try:
+        table = _read_table(path, delimiter, columns) if len(delimiter) == 1 else None
+        if table is not None:
+            disp, load = table.T.copy()  # each column contiguous, as the walk's
+        else:
+            with open(path, "r", encoding="utf-8-sig") as fh:
+                disp, load = _walk_lines(fh, path, delimiter, *columns, ncols)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if len(disp) < 2:
         raise ParseError(
             f"too short: found {len(disp)} data rows, need at least 2", path=path
@@ -279,11 +305,22 @@ def write_record(
 
 
 def write_columns(path, header, columns, delimiter=",", precision=OUTPUT_PRECISION):
-    """Write parallel numeric columns with a one-line header."""
-    columns = [np.asarray(c).tolist() for c in columns]
-    sep = delimiter.replace("{", "{{").replace("}", "}}")
-    row = sep.join([f"{{:.{precision}g}}"] * len(columns)) + "\n"
+    """Write parallel numeric columns with a one-line header.
+
+    Raises ValueError, before the file is opened, if the columns differ
+    in length.
+    """
+    columns = [np.asarray(c) for c in columns]
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns differ in length: {lengths}")
+    # '%' with an explicit '.pg' formats a value as format() does
+    sep = delimiter.replace("%", "%%")
+    row = sep.join([f"%.{precision}g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(delimiter.join(header) + "\n")
         if columns:
-            fh.writelines(map(row.format, *columns))
+            table = np.column_stack(columns)
+            for start in range(0, len(table), _WRITE_BLOCK_ROWS):
+                block = table[start : start + _WRITE_BLOCK_ROWS]
+                fh.write((row * len(block)) % tuple(block.ravel().tolist()))

@@ -1,3 +1,4 @@
+import gzip
 import json
 import os
 import sys
@@ -188,6 +189,13 @@ def test_negative_column_beyond_a_row_reports_line(tmp_path, capsys):
     code = main(args + ["--load-column", "-3"])
     assert code == 1
     assert "line 1: expected at least 3 columns, found 2" in capsys.readouterr().err
+
+
+def test_file_that_is_not_utf8_reports_file_and_line(tmp_path, capsys):
+    raw = tmp_path / "g.csv"
+    raw.write_bytes(gzip.compress(b"0,0\n1,5\n2,10\n"))
+    assert main(["resample", "--input", str(raw), "--outdir", str(tmp_path / "out")]) == 1
+    assert f"{raw}: line 1: byte 0x8b is not UTF-8 text" in capsys.readouterr().err
 
 
 def _raise_fit_error(*args, **kwargs):

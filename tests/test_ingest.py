@@ -321,7 +321,7 @@ def test_file_named_like_an_archive_is_read_as_text(tmp_path):
     assert outcome(load_record, named_gz, ",", (0, 1)) == outcome(load_record, plain, ",", (0, 1))
     # a real archive is not unpacked: its bytes are not UTF-8 text
     named_gz.write_bytes(gzip.compress(plain.read_bytes()))
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(ParseError, match=r"rec\.csv\.gz: line 1: byte 0x8b is not UTF-8"):
         load_record(named_gz)
 
 
@@ -350,18 +350,90 @@ def test_long_regular_file_matches_oracle(tmp_path):
 SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300, 0.1, 1 / 3]
 
 
+def assert_written_as_oracle(out, columns, delimiter=",", precision=9):
+    header = [f"c{i}" for i in range(len(columns))]
+    write_columns(out / "new.csv", header, columns, delimiter, precision)
+    write_columns_oracle(out / "old.csv", header, columns, delimiter, precision)
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=30),
     st.sampled_from([3, 9, 17]),
-    st.sampled_from([",", "\t", "{}"]),
+    st.sampled_from([",", "\t", "{}", "%", "%%", "%s"]),
 )
 def test_write_columns_matches_per_value_oracle(tmp_path_factory, values, precision, delimiter):
     floats = np.array(SPECIAL + values)
     columns = [floats, np.arange(floats.size) - 7, (np.arange(floats.size) / 7).astype(np.float32)]
     out = tmp_path_factory.mktemp("w")
-    for cols in (columns, columns[:1], [floats, floats[:3]], []):
-        header = [f"c{i}" for i in range(len(cols))]
-        write_columns(out / "new.csv", header, cols, delimiter, precision)
-        write_columns_oracle(out / "old.csv", header, cols, delimiter, precision)
-        assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+    for cols in (columns, columns[:1], []):
+        assert_written_as_oracle(out, cols, delimiter, precision)
+    with pytest.raises(ValueError, match=rf"differ in length: \[{floats.size}, 3\]"):
+        write_columns(out / "unequal.csv", ["a", "b"], [floats, floats[:3]], delimiter, precision)
+    assert not (out / "unequal.csv").exists()
+
+
+B = ingest._WRITE_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+def test_block_writer_row_counts_match_oracle(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    assert_written_as_oracle(tmp_path, [values, -values, np.arange(rows)])
+    assert len((tmp_path / "new.csv").read_text().splitlines()) == rows + 1
+
+
+@pytest.mark.parametrize("delimiter", [",", "\t", "%", "%%", "%s", "{}"])
+@pytest.mark.parametrize("precision", [1, 9, 17])
+def test_block_writer_delimiters_and_precisions_match_oracle(tmp_path, delimiter, precision):
+    values = np.array(SPECIAL + [np.nan, np.inf, -np.inf, 123456.789, 0.5, 9.5] * 700)
+    assert_written_as_oracle(tmp_path, [values, values[::-1]], delimiter, precision)
+
+
+INT64 = np.arange(B + 9, dtype=np.int64) * 977_003 - 2**62 - 1
+FLOAT32 = (np.linspace(-1e6, 1e6, B + 9) / 3).astype(np.float32)
+BOOL = np.arange(B + 9) % 3 == 0
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [[INT64, FLOAT32, BOOL], [BOOL, INT64], [INT64], [FLOAT32], [BOOL]],
+    ids=["int64_float32_bool", "bool_int64", "int64", "float32", "bool"],
+)
+@pytest.mark.parametrize("precision", [1, 9, 17])
+def test_block_writer_dtypes_match_oracle(tmp_path, columns, precision):
+    assert_written_as_oracle(tmp_path, columns, precision=precision)
+
+
+def test_block_writer_zero_columns_writes_the_header_line(tmp_path):
+    assert_written_as_oracle(tmp_path, [])
+    assert (tmp_path / "new.csv").read_bytes() == b"\n"
+
+
+@pytest.mark.parametrize("bad_row", ["1,\udcff5", "\udcff1,5"], ids=["mid_line", "line_start"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("delimiter", [",", "\t", ";;"])
+def test_byte_that_is_not_utf8_names_its_line(tmp_path, newline, delimiter, bad_row):
+    # ';;' is read by the line walk, the others by _read_table
+    lines = ["d,f", "0,0", bad_row, "2,10"]
+    text = newline.join(line.replace(",", delimiter) for line in lines) + newline
+    p = tmp_path / "rec.csv"
+    p.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(ParseError, match="line 3: byte 0xff is not UTF-8 text") as err:
+        load_record(p, delimiter)
+    assert err.value.line == 3
+    assert err.value.path == p
+
+
+@pytest.mark.parametrize("delimiter, sources", [(",", [True]), ("\t", [False])])
+def test_byte_that_is_not_utf8_stops_the_first_numpy_read(tmp_path, monkeypatch, delimiter, sources):
+    rows = [f"{i}{delimiter}{-i}" for i in range(20_000)]  # past the first chunk read
+    p = tmp_path / "rec.csv"
+    p.write_bytes("\n".join(rows).encode() + b"\n1,\xff5\n")
+    found_sources = numpy_sources(monkeypatch)
+    with pytest.raises(ParseError, match="line 20001: byte 0xff") as err:
+        load_record(p, delimiter)
+    assert err.value.line == 20_001
+    assert found_sources == sources
