@@ -406,6 +406,8 @@ def main(argv=None) -> int:
     warnings.simplefilter("default")
     try:
         cfg = resolve_config(args)
+        if args.command in ("fit", "pipeline"):
+            cfg.ga_config().validate()  # before any stage writes a file
         os.makedirs(cfg.outdir, exist_ok=True)
         _write_manifest(cfg, args.command)
         if args.command == "resample":
@@ -434,3 +436,7 @@ def main(argv=None) -> int:
 
 def entrypoint():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

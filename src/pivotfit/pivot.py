@@ -37,12 +37,17 @@ solved exactly and the branch geometry is independent of step size):
 Displacement beyond the backbone's ultimate points clamps the envelope
 load at its terminal value.
 
-The response is computed one monotone run of the history at a time (the
-samples between two reversals): a run launches its branch once, and
-each stretch of it on one line, on the backbone or on the sub-yield
-elastic lines is filled in bulk with the expressions a sample-by-sample
-evaluation would use, so the loads match that evaluation bit for bit.
-A launch reads the launch geometry of both sides: the degraded elastic
+Until the first sample outside the yield displacements no side has
+yielded, so the response is the elastic line of each side whatever the
+parameters: this elastic prefix is computed once per history. The
+sample after it lands on the backbone (a launch from the elastic line
+reaches it at the yield point), and no later sample takes the elastic
+line. From there the response is computed one monotone run of the
+history at a time (the samples between two reversals): a run launches
+its branch once, and each stretch of it on one line or on the backbone
+is filled in bulk with the expressions a sample-by-sample evaluation
+would use, so the loads match that evaluation bit for bit. A launch
+reads the launch geometry of both sides: the degraded elastic
 slope, the extreme-response point, the primary and pinching pivots and
 the reloading slope. These change only when the side's historical
 extreme grows, so each side's geometry is rebuilt only then, with the
@@ -60,13 +65,11 @@ import numpy as np
 
 ETA_SCALE = 100.0  # eta acts per 100 in the degradation shrink factor
 
-# load sources of a response segment
+# load sources of a response segment past the elastic prefix
 _ENV = 0
 _LINE = 1
-_ELASTIC = 2  # sub-yield shortcut of a never-yielded engine
-# segment table entries (source, line anchor x, y, slope) off the lines
+# segment table entry (source, line anchor x, y, slope) of the envelope
 _ENV_SEGMENT = (_ENV, 0.0, 0.0, 0.0)
-_ELASTIC_SEGMENT = (_ELASTIC, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -117,10 +120,12 @@ class BackboneGeometry:
             raise ValueError("backbone geometry needs exactly 7 points")
         if not all(map(math.isfinite, self.knots_d + self.knots_f)):
             raise ValueError("backbone geometry points must be finite")
+        if any(a > b for a, b in zip(self.knots_d, self.knots_d[1:])):
+            raise ValueError("backbone geometry displacements must be non-decreasing")
         dy_neg, fy_neg = self.knots_d[2], self.knots_f[2]
         dy_pos, fy_pos = self.knots_d[4], self.knots_f[4]
-        if dy_pos == 0.0 or dy_neg == 0.0:
-            raise ValueError("yield points must have nonzero displacement")
+        if not dy_neg < 0.0 < dy_pos:
+            raise ValueError("yield displacement must be nonzero and of its side's sign")
         self.k_pos = fy_pos / dy_pos
         self.k_neg = fy_neg / dy_neg
         if self.k_pos <= 0 or self.k_neg <= 0:
@@ -133,8 +138,6 @@ class BackboneGeometry:
         # them differ from the yield forces
         self.f_dy_pos = self.envelope(dy_pos)
         self.f_dy_neg = self.envelope(dy_neg)
-        self.f_min = min(self.knots_f)
-        self.f_max = max(self.knots_f)
         self._history = None  # the last history seen, see history()
 
     def envelope(self, d: float) -> float:
@@ -158,16 +161,14 @@ class BackboneGeometry:
 
     def envelope_at(self, d: np.ndarray) -> np.ndarray:
         """``envelope`` of every element of d, bit for bit."""
-        kd = self.knots_d
-        kf = self.knots_f
-        out = np.full(d.shape, kf[6])
+        kd = np.array(self.knots_d)
+        kf = np.array(self.knots_f)
+        # the first segment whose right knot is not below d wins
+        i = np.minimum(kd[1:].searchsorted(d), 5)
+        x0, x1, f0, f1 = kd[i], kd[i + 1], kf[i], kf[i + 1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            # the first segment whose right knot is not below d wins
-            for i in range(5, -1, -1):
-                x0, x1 = kd[i], kd[i + 1]
-                seg = kf[i] + (kf[i + 1] - kf[i]) * (d - x0) / (x1 - x0)
-                seg = np.where(d == x1, kf[i + 1], seg)  # exact at knots
-                out = np.where(d <= x1, seg, out)
+            out = f0 + (f1 - f0) * (d - x0) / (x1 - x0)
+        out = np.where(d == x1, f1, out)  # exact at knots
         out[d >= kd[6]] = kf[6]
         out[d <= kd[0]] = kf[0]
         return out
@@ -275,22 +276,22 @@ def _launch(s: int, x0: float, y0: float, dep, tgt):
 def _respond(g: BackboneGeometry, p: PivotParams, history: "_History") -> np.ndarray:
     """Load at every sample of a history, from the virgin state.
 
-    Branches launch once per monotone run. Each phase (a stretch of
-    samples on one line, on the envelope or on the sub-yield elastic
-    lines) becomes one segment, and the loads of all segments are filled
-    in bulk at the end with the expressions of their branches.
+    The loads of the elastic prefix come with the history; from the
+    engine state at its end, branches launch once per monotone run. Each
+    phase (a stretch of samples on one line or on the envelope) becomes
+    one segment, and the loads of all segments are filled in bulk at the
+    end with the expressions of their branches.
     """
     xs = history.xs
     m = xs.shape[0]
     run_ends, run_dirs = history.run_ends, history.run_dirs
     env_loads = history.envelope
-    dy_pos, dy_neg = g.dy_pos, g.dy_neg
     # current point; historical extremes of envelope contact and the
-    # envelope loads there; motion direction; whether the response is on
-    # the envelope, else on the line through (ax, ay) with that slope
-    d = f = 0.0
-    d_max = d_min = f_max = f_min = 0.0
-    direction = 0
+    # envelope loads there, read only once that side has yielded; motion
+    # direction; whether the response is on the envelope, else on the
+    # line through (ax, ay) with that slope
+    d, f, d_max, d_min, direction = history.start
+    f_max = f_min = 0.0
     on_env = True
     ax = ay = slope = 0.0
     events = []
@@ -299,33 +300,12 @@ def _respond(g: BackboneGeometry, p: PivotParams, history: "_History") -> np.nda
     # segment table: sample counts, then source, line anchor x, y and
     # slope of each segment
     lens, segs = [], []
-    i = r = 0
+    i = n0 = history.n0
+    r = 0
     while i < m:
         while run_ends[r] <= i:
             r += 1
         b = run_ends[r]
-        if d_max <= dy_pos and d_min >= dy_neg:
-            # Neither side has yielded: a sample inside the yield
-            # displacements takes the elastic shortcut, so phases stop
-            # where the history enters or leaves that range.
-            toggles = history.toggles
-            nxt = int(toggles[toggles.searchsorted(i, "right")])
-            if history.inside[i]:
-                vals = xs[i:nxt].tolist()
-                hi, lo = max(vals), min(vals)
-                if hi > d_max:
-                    d_max = hi
-                if lo < d_min:
-                    d_min = lo
-                d = vals[-1]
-                f = float(history.elastic[nxt - 1])
-                direction = 1 if history.up[nxt - 1] else -1
-                on_env = True
-                lens.append(nxt - i)
-                segs.extend(_ELASTIC_SEGMENT)
-                i = nxt
-                continue
-            b = min(b, nxt)
         s = run_dirs[r]
         if s != direction:
             direction = s
@@ -346,14 +326,15 @@ def _respond(g: BackboneGeometry, p: PivotParams, history: "_History") -> np.nda
         j = 0
         while True:
             if on_env:
-                # the lowest or highest sample may set a new extreme
-                k_lo, k_hi = (j, n - 1) if s > 0 else (n - 1, j)
-                if vals[k_hi] > d_max:
-                    d_max, f_max = vals[k_hi], float(env_loads[i + k_hi])
-                if vals[k_lo] < d_min:
-                    d_min, f_min = vals[k_lo], float(env_loads[i + k_lo])
+                # motion on the envelope points outward, so only the
+                # run's last sample can set a new extreme
                 d = vals[-1]
                 f = float(env_loads[b - 1])
+                if s > 0:
+                    if d > d_max:
+                        d_max, f_max = d, f
+                elif d < d_min:
+                    d_min, f_min = d, f
                 lens.append(n - j)
                 segs.extend(_ENV_SEGMENT)
                 break
@@ -386,23 +367,24 @@ def _respond(g: BackboneGeometry, p: PivotParams, history: "_History") -> np.nda
     nseg = len(lens)
     table = np.fromiter(segs, float, 4 * nseg).reshape(nseg, 4)
     source, ax, ay, slope = np.repeat(table.T, lens, axis=1)
-    loads = xs - ax  # then ay + slope*(x - ax), in place
-    loads *= slope
-    loads += ay
-    np.copyto(loads, env_loads, where=source == _ENV)
-    np.copyto(loads, history.elastic, where=source == _ELASTIC)
-    if history.fill is not None:
-        # a repeated sample returns the load of the sample it repeats
-        loads = np.concatenate(([0.0], loads))[history.fill]
-    return loads
+    tail = xs[n0:] - ax  # then ay + slope*(x - ax), in place
+    tail *= slope
+    tail += ay
+    np.copyto(tail, env_loads[n0:], where=source == _ENV)
+    if history.fill is None:
+        return np.concatenate((history.elastic, tail))
+    # a repeated sample returns the load of the sample it repeats
+    return np.concatenate(([0.0], history.elastic, tail))[history.fill]
 
 
 class _History:
     """What a displacement history holds for the engine on one geometry.
 
     Depends only on the history and the geometry, so a fit computes it
-    once: the changed samples, their monotone runs, the sub-yield range
-    crossings and the envelope and elastic loads at every sample.
+    once: the changed samples, their monotone runs, the envelope load at
+    every sample and the elastic prefix: the samples before the first
+    one outside the yield displacements, their elastic loads and the
+    engine state after them.
     """
 
     def __init__(self, geom: BackboneGeometry, key: bytes):
@@ -429,23 +411,23 @@ class _History:
         up = np.empty(m, dtype=bool)
         up[:1] = xs[:1] > 0.0
         np.greater(xs[1:], xs[:-1], out=up[1:])
-        self.up = up
         ends = np.append(np.flatnonzero(up[1:] != up[:-1]) + 1, m)
         self.run_ends = ends.tolist()
         self.run_dirs = np.where(up[ends - 1], 1, -1).tolist() if m else []
-        inside = (geom.dy_neg <= xs) & (xs <= geom.dy_pos)
-        self.inside = inside
-        self.toggles = np.append(np.flatnonzero(inside[1:] != inside[:-1]) + 1, m)
         self.envelope = geom.envelope_at(xs)
-        self.elastic = np.where(
-            xs == geom.dy_pos,
-            geom.fy_pos,
-            np.where(
-                xs == geom.dy_neg,
-                geom.fy_neg,
-                np.where(xs >= 0.0, geom.k_pos * xs, geom.k_neg * xs),
-            ),
-        )
+        inside = (geom.dy_neg <= xs) & (xs <= geom.dy_pos)
+        self.n0 = n0 = m if inside.all() else int(inside.argmin())
+        prefix = xs[:n0]
+        elastic = np.where(prefix >= 0.0, geom.k_pos * prefix, geom.k_neg * prefix)
+        elastic[prefix == geom.dy_pos] = geom.fy_pos
+        elastic[prefix == geom.dy_neg] = geom.fy_neg
+        self.elastic = elastic
+        # engine state after the prefix: point, load, extremes, direction
+        self.start = (0.0, 0.0, 0.0, 0.0, 0)
+        if n0:
+            d, f = float(prefix[-1]), float(elastic[-1])
+            hi, lo = max(0.0, float(prefix.max())), min(0.0, float(prefix.min()))
+            self.start = (d, f, hi, lo, 1 if up[n0 - 1] else -1)
 
 
 def simulate(backbone, params: PivotParams, displacements) -> np.ndarray:

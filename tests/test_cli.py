@@ -1,6 +1,7 @@
 import gzip
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -263,6 +264,41 @@ def test_config_file_value_types_checked(workdir, capsys, key, value):
     assert main(["pipeline", "--config", str(config)]) == 1
     assert f"'{key}' must be" in capsys.readouterr().err
     assert not out.exists()  # rejected before any stage ran
+
+
+@pytest.mark.parametrize("command", ["fit", "pipeline"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--population", "0"],
+        ["--generations", "-1"],
+        ["--workers", "0"],
+        ["--bounds", "alpha1=50:1"],
+        ["--bounds", "alpha1=nan:5"],
+    ],
+)
+def test_ga_settings_checked_before_any_stage(workdir, capsys, command, flags):
+    tmp, raw, out, config = workdir
+    assert main([command, "--config", str(config), *flags]) == 1
+    assert capsys.readouterr().err.startswith("pivotfit: ")
+    assert not out.exists()  # rejected before any stage ran
+
+
+def test_module_runs_as_script(tmp_path):
+    src = os.path.dirname(os.path.dirname(pivotfit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(*args):
+        argv = [sys.executable, "-m", "pivotfit.cli", *args]
+        return subprocess.run(
+            argv, cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+
+    version = run("--version")
+    assert (version.returncode, version.stdout) == (0, f"{pivotfit.__version__}\n")
+    missing = run("pipeline", "--input", "missing.csv", "--outdir", "out")
+    assert missing.returncode == 2
+    assert "missing.csv" in missing.stderr
 
 
 def test_unknown_bounds_param_rejected(workdir):

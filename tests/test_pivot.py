@@ -61,6 +61,14 @@ def test_geometry_rejects_non_finite_knot():
         BackboneGeometry([-3, -2, -1, 0, 1, 2, np.inf], knots_f)
 
 
+def test_geometry_rejects_unordered_knots():
+    knots_f = [-12, -15, -10, 0, 10, 15, 12]
+    with pytest.raises(ValueError, match="non-decreasing"):
+        BackboneGeometry([-3, -2, -1, 0, 1, 3, 2], knots_f)
+    with pytest.raises(ValueError, match="side's sign"):
+        BackboneGeometry([-3, -2, -1, -0.5, -0.2, 2, 3], [-12, -15, -10, -5, -2, 9, 9])
+
+
 def test_envelope_interpolant_through_knots(symmetric_backbone):
     g = build_geometry(symmetric_backbone)
     for d, f in zip(symmetric_backbone.displacement, symmetric_backbone.load):
@@ -408,6 +416,52 @@ def test_simulate_matches_oracle_on_ulp_growth_and_repeated_knots(
             expected = step_simulate_oracle(g, params, h).tobytes()
             assert simulate(g, params, h).tobytes() == expected
     assert repeats > 30  # the yield-point envelope load was not the yield force
+
+
+def prefix_history(rng, g, kind):
+    """A history and the length of its elastic prefix (the samples before
+    the first one outside the yield displacements). kind 0 stays inside,
+    kind 1 starts outside, kind 2 oscillates inside and leaves after a
+    reversal, kind 3 lands exactly on a yield displacement and leaves."""
+    dy = (g.dy_neg, g.dy_pos)
+    inside = list(rng.uniform(g.dy_neg, g.dy_pos, int(rng.integers(2, 12))))
+    side = int(rng.integers(2))
+    if kind == 0:
+        return np.array(inside), len(inside)
+    if kind == 2:
+        # leave on the side the last inside step turns away from
+        side = int(inside[-1] < inside[-2])
+    elif kind == 3:
+        inside.append(dy[side])
+        side = int(rng.integers(2))
+    beyond = rng.choice([rng.uniform(1.0, 2.0), np.nextafter(1.0, 2.0)]) * dy[side]
+    tail = list(beyond + np.cumsum(rng.normal(0, 0.5, 20)))
+    if kind == 1:
+        return np.array([beyond, *tail]), 0
+    return np.array([*inside, beyond, *tail]), len(inside)
+
+
+def test_elastic_prefix_matches_step_oracle(symmetric_backbone, asymmetric_backbone):
+    rng = np.random.default_rng(36)
+    for trial in range(600):
+        if trial % 3 == 2:
+            bb = backbone_with_repeated_knots(rng)
+        else:
+            bb = (symmetric_backbone, asymmetric_backbone)[trial % 3]
+        g = build_geometry(bb)
+        params = random_params(rng)
+        hist, n0 = prefix_history(rng, g, trial // 3 % 4)
+        history = g.history(hist)
+        assert history.n0 == n0
+        # the engine state after the prefix is the stepping engine's
+        engine = SteppingEngine(g, params)
+        for d in hist[:n0]:
+            engine.step(d)
+        state = (engine.d, engine.f, engine.d_max, engine.d_min, engine._dir)
+        assert history.start == state
+        for h in (hist, with_event_points(g, params, hist)):
+            expected = step_simulate_oracle(g, params, h).tobytes()
+            assert simulate(g, params, h).tobytes() == expected
 
 
 def refine(hist, k):
