@@ -5,6 +5,9 @@ half-cycle, sorted ascending by displacement. The idealization reduces
 it to seven points: on each side an elastic-limit point (first point
 whose load magnitude exceeds 65% of the side's extreme load), the
 extreme-load point and the extreme-displacement point, plus the origin.
+A half-cycle ends at the first load of the other sign, zero loads
+carrying no sign: the rule (``resample.sign_flips``) that also splits
+displacement into monotone segments.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pivotfit.ingest import SignalPair, validate
+from pivotfit.resample import sign_flips
 
 YIELD_FRACTION = 0.65
 
@@ -77,37 +81,15 @@ def _check_idealized(d, f):
         raise ValueError("points 1-3 must be non-positive and 5-7 non-negative in displacement")
 
 
-def _subset_bounds(load: np.ndarray):
-    """0-based inclusive boundary indices splitting load at sign changes.
-
-    A zero-load sample belongs to the preceding subset; a new subset
-    starts at the next strictly-signed sample.
-    """
-    n = load.shape[0]
-    bounds = [0]
-    prev_sign = 0
-    for i in range(n):
-        if load[i] > 0:
-            sign = 1
-        elif load[i] < 0:
-            sign = -1
-        else:
-            continue
-        if prev_sign != 0 and sign != prev_sign:
-            bounds.append(i - 1)
-        prev_sign = sign
-    bounds.append(n - 1)
-    return bounds
-
-
 def extract_envelope(pair: SignalPair) -> EnvelopeCurve:
     """Extract the cyclic backbone envelope from a load-deformation record.
 
-    The load trace is cut into subsets between consecutive sign changes;
-    each subset contributes its maximum if the subset mean is positive,
-    otherwise its minimum; the selected points are mapped to their
-    displacements and sorted ascending by displacement. Duplicate
-    displacements keep the point with the larger load magnitude.
+    The load trace is cut into subsets between consecutive sign changes
+    (zero loads carry no sign, see ``resample.sign_flips``); each subset
+    contributes its maximum if the subset mean is positive, otherwise its
+    minimum; the selected points are mapped to their displacements and
+    sorted ascending by displacement. Duplicate displacements keep the
+    point with the larger load magnitude.
 
     A record whose load never changes sign yields a degenerate
     single-point envelope, flagged on the result and via a warning.
@@ -116,12 +98,12 @@ def extract_envelope(pair: SignalPair) -> EnvelopeCurve:
     load = pair.load
     disp = pair.displacement
 
-    bounds = _subset_bounds(load)
+    # a subset ends just before the first sample of the next sign, so a
+    # zero load stays with the preceding subset
+    bounds = [0, *(sign_flips(load) - 1), load.shape[0] - 1]
     env_idx = []
     for a, b in zip(bounds[:-1], bounds[1:]):
         subset = load[a : b + 1]
-        if subset.shape[0] == 0:
-            continue
         if subset.mean() > 0:
             local = int(np.argmax(subset))
         else:

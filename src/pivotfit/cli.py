@@ -5,7 +5,7 @@ simulate, fit) or end to end (pipeline). Every stage reads its inputs
 from files and writes plain comma-separated text with a one-line header,
 so stages are freely re-runnable and byte-reproducible. A JSON config
 file provides defaults; command-line flags override it. A machine-
-readable run manifest accompanies every run.
+readable run manifest accompanies every completed run.
 
 Exit codes: 0 success, 1 validation, usage or any other failure, 2
 I/O failure, 3 optimization failure.
@@ -164,7 +164,7 @@ def resolve_config(args) -> PipelineConfig:
     return cfg
 
 
-def _write_manifest(cfg: PipelineConfig, command: str):
+def _manifest(cfg: PipelineConfig, command: str) -> dict:
     resolved = asdict(cfg)
     config_blob = json.dumps(resolved, sort_keys=True).encode()
     manifest = {
@@ -177,9 +177,7 @@ def _write_manifest(cfg: PipelineConfig, command: str):
     if cfg.input and os.path.exists(cfg.input):
         with open(cfg.input, "rb") as fh:
             manifest["input_sha256"] = hashlib.sha256(fh.read()).hexdigest()
-    with open(cfg.path("manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return manifest
 
 
 class _StageFailure(Exception):
@@ -214,9 +212,9 @@ def cmd_resample(cfg: PipelineConfig) -> None:
             load_unit=cfg.load_unit,
         )
         reduced = regular_reduce(raw, cfg.step)
-        write_record(reduced, cfg.path("reduced.csv"), precision=cfg.precision)
         changes = detect_reversals(reduced.displacement)
         resampled = irregular_resample(reduced, cfg.scale, changes)
+        write_record(reduced, cfg.path("reduced.csv"), precision=cfg.precision)
         write_record(resampled, cfg.path("resampled.csv"), precision=cfg.precision)
 
 
@@ -408,8 +406,8 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         if args.command in ("fit", "pipeline"):
             cfg.ga_config().validate()  # before any stage writes a file
+        manifest = _manifest(cfg, args.command)  # of the input as read
         os.makedirs(cfg.outdir, exist_ok=True)
-        _write_manifest(cfg, args.command)
         if args.command == "resample":
             cmd_resample(cfg)
         elif args.command == "backbone":
@@ -420,6 +418,10 @@ def main(argv=None) -> int:
             cmd_fit(cfg)
         elif args.command == "pipeline":
             cmd_pipeline(cfg)
+        # written last, so only a completed run leaves a manifest
+        with open(cfg.path("manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except KeyboardInterrupt:
         print("interrupted; partial outputs flushed", file=sys.stderr)
         return 130

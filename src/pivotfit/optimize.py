@@ -262,19 +262,21 @@ def fit(
     best_score = np.inf
     stall = 0
 
+    # a worker beyond one per genome would only get an empty slice
+    workers = min(config.workers, config.population_size)
     pool = None
     try:
-        if config.workers > 1:
+        if workers > 1:
             # imported here: a serial run does not pay for the import
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(
-                max_workers=config.workers,
+                max_workers=workers,
                 initializer=_init_worker,
                 initargs=(score,),
             )
         for generation in range(1, config.max_generations + 1):
-            scores = _evaluate_population(genes, score, pool, config.workers)
+            scores = _evaluate_population(genes, score, pool, workers)
 
             gen_best = int(np.argmin(scores))
             if scores[gen_best] < best_score:

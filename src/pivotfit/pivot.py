@@ -51,7 +51,9 @@ reads the launch geometry of both sides: the degraded elastic
 slope, the extreme-response point, the primary and pinching pivots and
 the reloading slope. These change only when the side's historical
 extreme grows, so each side's geometry is rebuilt only then, with the
-envelope load of the sample that set the new extreme.
+envelope load of the sample that set the new extreme. Runs are cut by
+``resample.sign_flips``, which also cuts resampling segments and
+backbone half-cycles.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ from dataclasses import dataclass
 from operator import neg
 
 import numpy as np
+
+from pivotfit.resample import sign_flips
 
 ETA_SCALE = 100.0  # eta acts per 100 in the degradation shrink factor
 
@@ -138,6 +142,7 @@ class BackboneGeometry:
         # them differ from the yield forces
         self.f_dy_pos = self.envelope(dy_pos)
         self.f_dy_neg = self.envelope(dy_neg)
+        self._knot_arrays = np.array(self.knots_d), np.array(self.knots_f)
         self._history = None  # the last history seen, see history()
 
     def envelope(self, d: float) -> float:
@@ -161,8 +166,7 @@ class BackboneGeometry:
 
     def envelope_at(self, d: np.ndarray) -> np.ndarray:
         """``envelope`` of every element of d, bit for bit."""
-        kd = np.array(self.knots_d)
-        kf = np.array(self.knots_f)
+        kd, kf = self._knot_arrays
         # the first segment whose right knot is not below d wins
         i = np.minimum(kd[1:].searchsorted(d), 5)
         x0, x1, f0, f1 = kd[i], kd[i + 1], kf[i], kf[i + 1]
@@ -283,8 +287,6 @@ def _respond(g: BackboneGeometry, p: PivotParams, history: "_History") -> np.nda
     end with the expressions of their branches.
     """
     xs = history.xs
-    m = xs.shape[0]
-    run_ends, run_dirs = history.run_ends, history.run_dirs
     env_loads = history.envelope
     # current point; historical extremes of envelope contact and the
     # envelope loads there, read only once that side has yielded; motion
@@ -301,12 +303,7 @@ def _respond(g: BackboneGeometry, p: PivotParams, history: "_History") -> np.nda
     # slope of each segment
     lens, segs = [], []
     i = n0 = history.n0
-    r = 0
-    while i < m:
-        while run_ends[r] <= i:
-            r += 1
-        b = run_ends[r]
-        s = run_dirs[r]
+    for b, s in zip(history.run_ends, history.run_dirs):
         if s != direction:
             direction = s
             # on the envelope at the extreme, motion continues outward on it
@@ -381,10 +378,12 @@ class _History:
     """What a displacement history holds for the engine on one geometry.
 
     Depends only on the history and the geometry, so a fit computes it
-    once: the changed samples, their monotone runs, the envelope load at
-    every sample and the elastic prefix: the samples before the first
-    one outside the yield displacements, their elastic loads and the
-    engine state after them.
+    once: the changed samples, the envelope load at every sample, the
+    elastic prefix (the samples before the first one outside the yield
+    displacements, their elastic loads and the engine state after them)
+    and the end and direction of each monotone run past the prefix. A
+    run ends before the first step against its direction
+    (``resample.sign_flips`` over the steps into the samples).
     """
 
     def __init__(self, geom: BackboneGeometry, key: bytes):
@@ -407,16 +406,16 @@ class _History:
             xs = x[changed]
         self.xs = xs
         m = xs.shape[0]
-        # direction of the step into each sample, True when increasing
-        up = np.empty(m, dtype=bool)
-        up[:1] = xs[:1] > 0.0
-        np.greater(xs[1:], xs[:-1], out=up[1:])
-        ends = np.append(np.flatnonzero(up[1:] != up[:-1]) + 1, m)
-        self.run_ends = ends.tolist()
-        self.run_dirs = np.where(up[ends - 1], 1, -1).tolist() if m else []
         self.envelope = geom.envelope_at(xs)
         inside = (geom.dy_neg <= xs) & (xs <= geom.dy_pos)
         self.n0 = n0 = m if inside.all() else int(inside.argmin())
+        # the step into each sample, never zero; a run ends before a step
+        # against the previous one and has the direction of its last step
+        steps = xs - np.concatenate(([0.0], xs[:-1]))
+        ends = np.append(sign_flips(steps), m)
+        ends = ends[ends > n0]  # the runs past the elastic prefix
+        self.run_ends = ends.tolist()
+        self.run_dirs = [1 if v > 0.0 else -1 for v in steps[ends - 1].tolist()]
         prefix = xs[:n0]
         elastic = np.where(prefix >= 0.0, geom.k_pos * prefix, geom.k_neg * prefix)
         elastic[prefix == geom.dy_pos] = geom.fy_pos
@@ -427,7 +426,7 @@ class _History:
         if n0:
             d, f = float(prefix[-1]), float(elastic[-1])
             hi, lo = max(0.0, float(prefix.max())), min(0.0, float(prefix.min()))
-            self.start = (d, f, hi, lo, 1 if up[n0 - 1] else -1)
+            self.start = (d, f, hi, lo, 1 if steps[n0 - 1] > 0.0 else -1)
 
 
 def simulate(backbone, params: PivotParams, displacements) -> np.ndarray:

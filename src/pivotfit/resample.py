@@ -3,7 +3,8 @@
 Two stages: a regular reduction that keeps every m-th sample, and an
 irregular resampling that re-grids each monotonic displacement segment
 onto integer multiples of 1/scale via linear interpolation of load over
-displacement.
+displacement. Segments end at reversals, found by ``sign_flips``: the
+one rule that also cuts the backbone's half-cycles and the engine's runs.
 """
 
 from __future__ import annotations
@@ -33,23 +34,30 @@ def regular_reduce(pair: SignalPair, step: int) -> SignalPair:
     return pair.with_arrays(pair.displacement[::step], pair.load[::step])
 
 
+def sign_flips(v: np.ndarray) -> np.ndarray:
+    """0-based indices of the nonzero elements of the 1-d array v whose
+    sign differs from that of the previous nonzero element; zeros (and
+    -0.0) carry no sign. It splits displacement steps into monotone
+    segments, loads into half-cycles and engine steps into runs."""
+    moving = v.nonzero()[0]
+    rising = v[moving] > 0
+    return moving[1:][rising[1:] != rising[:-1]]
+
+
 def detect_reversals(values) -> np.ndarray:
     """Find 1-based indices where the sign of the first difference flips.
 
     Zero differences (plateaus) carry no direction; a reversal is
     reported at the sample where a nonzero difference contradicts the
-    previous nonzero direction. The final index n is always appended, so
-    a constant array yields just [n]. Output is strictly increasing.
+    previous nonzero direction (:func:`sign_flips`). The final index n is
+    always appended, so a constant array yields just [n]. Output is
+    strictly increasing.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 samples to detect reversals, got {n}")
-    diffs = values[1:] - values[:-1]
-    moving = np.flatnonzero(diffs)  # 0-based indices of nonzero differences
-    rising = diffs[moving] > 0
-    flips = moving[1:][rising[1:] != rising[:-1]]
-    return np.append(flips + 1, n)  # 1-based samples where a new run starts
+    return np.append(sign_flips(values[1:] - values[:-1]) + 1, n)
 
 
 def _snap_floor(scaled: np.ndarray) -> np.ndarray:

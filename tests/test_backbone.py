@@ -65,6 +65,39 @@ def test_envelope_zero_sample_stays_with_preceding_subset():
     np.testing.assert_array_equal(env.load, [-8, 9])
 
 
+def _signed_zeros(rng, k):
+    return np.where(rng.random(k) < 0.5, 0.0, -0.0)
+
+
+def test_envelope_zero_loads_match_oracle_randomized():
+    rng = np.random.default_rng(29)
+    for trial in range(500):
+        d, f = random_cyclic_record(rng)
+        n = f.shape[0]
+        if trial % 50 == 0:  # all zero but one
+            f = _signed_zeros(rng, n)
+            f[rng.integers(0, n)] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 5.0)
+        else:
+            # zero runs just before or from each sign crossing, then at
+            # the start and at the end
+            for i in np.flatnonzero(np.sign(f[1:]) != np.sign(f[:-1])) + 1:
+                k = int(rng.integers(0, 4))
+                lo = max(i - k, 0) if rng.random() < 0.5 else i
+                run = slice(lo, lo + k)
+                f[run] = _signed_zeros(rng, f[run].size)
+            k = int(rng.integers(0, 4))
+            f[:k] = _signed_zeros(rng, k)
+            k = int(rng.integers(0, 4))
+            f[n - k :] = _signed_zeros(rng, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # degenerate records warn
+            env = extract_envelope(SignalPair(d, f))
+        expected = np.array(envelope_oracle(d.tolist(), f.tolist())).T
+        np.testing.assert_array_equal(env.displacement, expected[0])
+        np.testing.assert_array_equal(env.load, expected[1])
+        assert env.load.tobytes() == expected[1].tobytes()  # 0.0 vs -0.0
+
+
 def test_envelope_duplicate_displacement_keeps_outer():
     d = np.array([0.0, 1.0, 0.1, -1.0, 0.1, 1.0, 0.2, -1.0, 0.0])
     f = np.array([0.1, 8.0, 0.5, -7.0, 0.5, 11.0, 0.5, -5.0, -0.1])

@@ -284,6 +284,20 @@ def test_ga_settings_checked_before_any_stage(workdir, capsys, command, flags):
     assert not out.exists()  # rejected before any stage ran
 
 
+@pytest.mark.parametrize(
+    "flags, code",
+    [(["--input", "missing.csv"], 2), (["--scale", "5"], 1), (["--step", "0"], 1)],
+)
+def test_failed_run_leaves_no_manifest(workdir, flags, code):
+    tmp, raw, out, config = workdir
+    if flags[0] == "--input":
+        flags = ["--input", str(tmp / flags[1])]
+    assert main(["pipeline", "--config", str(config), *flags]) == code
+    assert out.is_dir()  # the run got as far as the stages
+    assert not (out / "manifest.json").exists()
+    assert not (out / "reduced.csv").exists()
+
+
 def test_module_runs_as_script(tmp_path):
     src = os.path.dirname(os.path.dirname(pivotfit.__file__))
     env = {**os.environ, "PYTHONPATH": src}

@@ -162,6 +162,42 @@ def test_worker_count_does_not_change_results(round_trip_record):
     np.testing.assert_array_equal(h1.mean_score, h2.mean_score)
 
 
+def test_pool_capped_at_population_size(round_trip_record, monkeypatch):
+    import concurrent.futures
+
+    import pivotfit.optimize
+
+    sizes, slices = [], []
+
+    class InProcessPool:
+        """Records the pool size and maps in this process: no process starts."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def map(self, fn, chunks):
+            slices.extend(len(chunk) for chunk in chunks)
+            return map(fn, chunks)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(pivotfit.optimize, "_WORKER_SCORE", None)
+    record, backbone, _ = round_trip_record
+    kwargs = dict(population_size=4, max_generations=5)
+    best1, h1 = small_fit(record, backbone, workers=1, **kwargs)
+    assert sizes == []  # a serial fit opens no pool
+    best2, h2 = small_fit(record, backbone, workers=64, **kwargs)
+    assert sizes == [4]
+    assert slices == [1] * 4 * len(h2)  # no worker gets an empty slice
+    assert best1 == best2
+    np.testing.assert_array_equal(h1.best_score, h2.best_score)
+    np.testing.assert_array_equal(h1.mean_score, h2.mean_score)
+    np.testing.assert_array_equal(np.vstack(h1.best_params), np.vstack(h2.best_params))
+
+
 def test_best_params_respect_bounds(round_trip_record):
     record, backbone, _ = round_trip_record
     bounds = ParamBounds(alpha1=(2.0, 20.0), eta=(0.0, 100.0))
