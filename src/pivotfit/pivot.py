@@ -53,7 +53,10 @@ the reloading slope. These change only when the side's historical
 extreme grows, so each side's geometry is rebuilt only then, with the
 envelope load of the sample that set the new extreme. Runs are cut by
 ``resample.sign_flips``, which also cuts resampling segments and
-backbone half-cycles.
+backbone half-cycles. What a run holds whatever the parameters (its
+samples as search keys, its last displacement and envelope load) is
+computed with the elastic prefix, once per history, so a simulation
+only launches branches and searches their event points.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import neg
 
 import numpy as np
 
@@ -286,8 +288,6 @@ def _respond(g: BackboneGeometry, p: PivotParams, history: "_History") -> np.nda
     one segment, and the loads of all segments are filled in bulk at the
     end with the expressions of their branches.
     """
-    xs = history.xs
-    env_loads = history.envelope
     # current point; historical extremes of envelope contact and the
     # envelope loads there, read only once that side has yielded; motion
     # direction; whether the response is on the envelope, else on the
@@ -302,8 +302,9 @@ def _respond(g: BackboneGeometry, p: PivotParams, history: "_History") -> np.nda
     # segment table: sample counts, then source, line anchor x, y and
     # slope of each segment
     lens, segs = [], []
-    i = n0 = history.n0
-    for b, s in zip(history.run_ends, history.run_dirs):
+    # bisect on a memoryview compares Python floats, not numpy scalars
+    keys = memoryview(history.keys)
+    for a, b, s, d_end, f_end in history.runs:
         if s != direction:
             direction = s
             # on the envelope at the extreme, motion continues outward on it
@@ -318,40 +319,35 @@ def _respond(g: BackboneGeometry, p: PivotParams, history: "_History") -> np.nda
                     slope, events = _launch(s, d, f, neg_side, pos_side)
                 else:
                     slope, events = _launch(s, d, f, pos_side, neg_side)
-        vals = xs[i:b].tolist()  # monotone in direction s
-        n = len(vals)
-        j = 0
+        j = a
         while True:
             if on_env:
                 # motion on the envelope points outward, so only the
                 # run's last sample can set a new extreme
-                d = vals[-1]
-                f = float(env_loads[b - 1])
+                d, f = d_end, f_end
                 if s > 0:
                     if d > d_max:
                         d_max, f_max = d, f
                 elif d < d_min:
                     d_min, f_min = d, f
-                lens.append(n - j)
+                lens.append(b - j)
                 segs.extend(_ENV_SEGMENT)
                 break
             # The first sample with (x - ex)*s >= 0 reaches the next
-            # event: x >= ex moving up, -x >= -ex moving down. A NaN
-            # event point is never reached.
-            k = n
+            # event: keys holds x moving up and -x moving down, so that
+            # is the first key not below ex*s. A NaN event point is
+            # never reached.
+            k = b
             if events:
                 ex = events[0][0]
                 if ex == ex:
-                    if s > 0:
-                        k = bisect_left(vals, ex, j)
-                    else:
-                        k = bisect_left(vals, -ex, j, key=neg)
+                    k = bisect_left(keys, ex if s > 0 else -ex, j, b)
             if k > j:
                 lens.append(k - j)
                 segs.extend((_LINE, ax, ay, slope))
-            if k == n:
-                d = vals[-1]
-                f = ay + slope * (vals[-1] - ax)
+            if k == b:
+                d = d_end
+                f = ay + slope * (d_end - ax)
                 break
             _, next_ax, next_ay, next_slope = events.pop(0)
             if next_ax is None:
@@ -359,15 +355,15 @@ def _respond(g: BackboneGeometry, p: PivotParams, history: "_History") -> np.nda
             else:
                 ax, ay, slope = next_ax, next_ay, next_slope
             j = k
-        i = b
 
     nseg = len(lens)
     table = np.fromiter(segs, float, 4 * nseg).reshape(nseg, 4)
     source, ax, ay, slope = np.repeat(table.T, lens, axis=1)
-    tail = xs[n0:] - ax  # then ay + slope*(x - ax), in place
+    n0 = history.n0
+    tail = history.xs[n0:] - ax  # then ay + slope*(x - ax), in place
     tail *= slope
     tail += ay
-    np.copyto(tail, env_loads[n0:], where=source == _ENV)
+    np.copyto(tail, history.envelope[n0:], where=source == _ENV)
     if history.fill is None:
         return np.concatenate((history.elastic, tail))
     # a repeated sample returns the load of the sample it repeats
@@ -381,9 +377,14 @@ class _History:
     once: the changed samples, the envelope load at every sample, the
     elastic prefix (the samples before the first one outside the yield
     displacements, their elastic loads and the engine state after them)
-    and the end and direction of each monotone run past the prefix. A
-    run ends before the first step against its direction
-    (``resample.sign_flips`` over the steps into the samples).
+    and what the monotone runs past the prefix hold whatever the
+    parameters: ``keys``, the samples past the prefix, each negated in a
+    falling run so that the keys rise along every run, and ``runs``, one
+    tuple (a, b, s, d_end, f_end) per run: the slice of keys it spans,
+    its direction and the displacement and envelope load of its last
+    sample. A run ends before the first step against its direction
+    (``resample.sign_flips`` over the steps into the samples). ``keys``
+    is one more float array: no Python object per sample.
     """
 
     def __init__(self, geom: BackboneGeometry, key: bytes):
@@ -414,8 +415,24 @@ class _History:
         steps = xs - np.concatenate(([0.0], xs[:-1]))
         ends = np.append(sign_flips(steps), m)
         ends = ends[ends > n0]  # the runs past the elastic prefix
-        self.run_ends = ends.tolist()
-        self.run_dirs = [1 if v > 0.0 else -1 for v in steps[ends - 1].tolist()]
+        # Every step into a run has the run's direction (+1.0 or -1.0),
+        # so the samples times the signs of their steps rise along each
+        # run: x moving up, -x moving down (an exact negation).
+        signs = np.sign(steps)
+        self.keys = xs[n0:] * signs[n0:]
+        # per run: where its keys start and end, its direction, its last
+        # displacement and the envelope load there
+        last = ends - 1
+        bounds = (ends - n0).tolist()
+        self.runs = list(
+            zip(
+                [0, *bounds[:-1]],
+                bounds,
+                signs[last].tolist(),
+                xs[last].tolist(),
+                self.envelope[last].tolist(),
+            )
+        )
         prefix = xs[:n0]
         elastic = np.where(prefix >= 0.0, geom.k_pos * prefix, geom.k_neg * prefix)
         elastic[prefix == geom.dy_pos] = geom.fy_pos

@@ -51,12 +51,16 @@ def detect_reversals(values) -> np.ndarray:
     reported at the sample where a nonzero difference contradicts the
     previous nonzero direction (:func:`sign_flips`). The final index n is
     always appended, so a constant array yields just [n]. Output is
-    strictly increasing.
+    strictly increasing. A non-finite value raises ValueError.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 samples to detect reversals, got {n}")
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueError(f"values must be finite, values[{i}] is {values[i]}")
     return np.append(sign_flips(values[1:] - values[:-1]) + 1, n)
 
 

@@ -10,6 +10,7 @@ from pivotfit import (
 )
 from pivotfit.optimize import _score_genes
 from pivotfit.pivot import BackboneGeometry
+from pivotfit.resample import sign_flips
 from conftest import triangle_protocol
 from oracles import SteppingEngine, step_simulate_oracle
 
@@ -369,6 +370,51 @@ def test_simulate_bit_identical_to_step_oracle(symmetric_backbone, asymmetric_ba
     assert events > 450  # the event-point samples were exercised
 
 
+def repeated_cycle_history(rng, g):
+    """Three cycles of one amplitude per side, each leg through a sample
+    at 0.0 or -0.0. From the second cycle on, a run heads for the
+    extreme-response point set by the cycle before, so the event that
+    puts it back on the envelope sits exactly on its last sample; on a
+    side held at the yield displacement that point is the yield point."""
+    pos = rng.uniform(1.0, 2.0) * g.dy_pos
+    neg = rng.choice([1.0, rng.uniform(1.0, 2.0)]) * g.dy_neg
+    hist = triangle_protocol([pos, 0.0, neg, 0.0] * 3, pts=int(rng.integers(2, 12)))
+    zeros = hist == 0.0
+    hist[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    return hist
+
+
+def test_simulate_matches_oracle_where_events_land_on_samples(
+    symmetric_backbone, asymmetric_backbone
+):
+    rng = np.random.default_rng(37)
+    for trial in range(300):
+        bb = (symmetric_backbone, asymmetric_backbone, random_backbone(rng))[trial % 3]
+        g = build_geometry(bb)
+        params = random_params(rng)
+        hist = repeated_cycle_history(rng, g)
+        for h in (hist, with_event_points(g, params, hist), -hist):
+            expected = step_simulate_oracle(g, params, h).tobytes()
+            assert simulate(g, params, h).tobytes() == expected
+    # Leaving the elastic prefix by a reversal from (0.5, 5.0) on the
+    # symmetric backbone, the unloading line aims at the undegraded
+    # pivot (-alpha1, -10 alpha1) on the elastic line, so it crosses zero
+    # at exactly 0.0: the event that starts the reload toward the
+    # never-yielded side sits at 0.0.
+    g = build_geometry(symmetric_backbone)
+    for alpha in (1.0, 2.0, 3.0, 7.5):
+        assert 0.5 - 5.0 / ((-10.0 * alpha - 5.0) / (-alpha - 0.5)) == 0.0
+        params = PivotParams(alpha, alpha, 0.5, 0.5, 50)
+        for hist in (
+            [0.5, -1.5, -0.0, 1.5, 0.0, -0.5],
+            [0.5, -0.0, 0.0, 0.5, -1.5, 0.0, -0.0, 1.5, -1.5],
+            [0.5, -1.5, -1.0, 0.0, -1.5, -0.0, -1.5],
+        ):
+            for h in (np.array(hist), -np.array(hist)):
+                expected = step_simulate_oracle(g, params, h).tobytes()
+                assert simulate(g, params, h).tobytes() == expected
+
+
 def backbone_with_repeated_knots(rng):
     """A random backbone whose knots repeat on one or both sides; on the
     negative side the envelope load at the yield displacement is then
@@ -499,6 +545,52 @@ def test_history_facts_follow_the_bytes(symmetric_backbone):
     assert simulate(g, params, hist).tobytes() == expected.tobytes()
     hist[10:] *= 2.0
     assert simulate(g, params, hist).tobytes() == first.tobytes()
+
+
+def run_facts_history(rng, g, kind):
+    if kind == 0:  # walk with repeated samples and signed zeros
+        hist = np.round(np.cumsum(rng.choice([-1.0, 0.0, 1.0], 60) * rng.uniform(0, 1, 60)), 1)
+        hist[rng.random(60) < 0.1] = -0.0
+        return hist
+    if kind == 1:  # knots, yield points and signed zeros, with repeats
+        pool = [*g.knots_d, 0.0, -0.0, 0.5 * g.dy_pos, 0.5 * g.dy_neg]
+        return rng.choice(pool, int(rng.integers(1, 50)))
+    if kind == 2:  # inside the yield displacements: no run past the prefix
+        return rng.uniform(g.dy_neg, g.dy_pos, int(rng.integers(1, 30)))
+    # monotone ramp, from the origin or from beyond a yield displacement
+    start = rng.choice([0.0, rng.uniform(1.0, 2.0) * g.dy_pos])
+    return np.linspace(start, rng.uniform(-6.0, 6.0), int(rng.integers(2, 40)))
+
+
+def test_history_runs_hold_the_samples_past_the_prefix(symmetric_backbone):
+    rng = np.random.default_rng(38)
+    no_runs = 0
+    for trial in range(500):
+        bb = symmetric_backbone if trial % 2 else random_backbone(rng)
+        g = build_geometry(bb)
+        history = g.history(run_facts_history(rng, g, trial // 2 % 4))
+        xs, n0 = history.xs, history.n0
+        steps = xs - np.concatenate(([0.0], xs[:-1]))
+        ends = np.append(sign_flips(steps), xs.shape[0])
+        ends = ends[ends > n0]
+        assert [s for _, _, s, _, _ in history.runs] == np.sign(steps[ends - 1]).tolist()
+        samples = []
+        start = 0
+        for (a, b, s, d_end, f_end), end in zip(history.runs, ends.tolist()):
+            assert start == a < b == end - n0
+            keys = history.keys[a:b].tolist()
+            assert keys == sorted(keys)
+            run = np.array(keys) if s > 0 else np.negative(keys)
+            samples.append(run)
+            # tobytes also tells 0.0 from -0.0
+            assert np.float64(d_end).tobytes() == xs[end - 1].tobytes() == run[-1].tobytes()
+            assert np.float64(f_end).tobytes() == history.envelope[end - 1].tobytes()
+            start = b
+        assert start == len(history.keys)
+        tail = np.concatenate([np.empty(0), *samples])
+        assert tail.tobytes() == xs[n0:].tobytes()
+        no_runs += n0 == xs.shape[0]
+    assert no_runs > 60  # the inside-only histories have no runs
 
 
 def test_params_at_bounds_run(symmetric_backbone):

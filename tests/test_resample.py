@@ -80,6 +80,17 @@ def test_reversals_too_short():
         detect_reversals([1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [0, 2, 4])
+def test_reversals_reject_non_finite(bad, index):
+    # without the check a NaN counts as a falling step and an infinity
+    # as a peak: [0, 1, nan, 2, 3] gave [2, 4, 5] instead of [4]
+    values = [0.0, 1.0, 2.0, 3.0, 4.0]
+    values[index] = bad
+    with pytest.raises(ValueError, match=rf"values\[{index}\] is {bad}"):
+        detect_reversals(values)
+
+
 def test_reversals_match_loop_oracle():
     rng = np.random.default_rng(17)
     histories = [
