@@ -29,6 +29,7 @@ from pivotfit.backbone import (
 )
 from pivotfit.pivot import (
     BackboneGeometry,
+    History,
     PivotParams,
     build_geometry,
     simulate,
@@ -62,6 +63,7 @@ __all__ = [
     "idealize",
     "PivotParams",
     "BackboneGeometry",
+    "History",
     "build_geometry",
     "simulate",
     "GAConfig",

@@ -192,8 +192,6 @@ def _stage(name):
     """Re-raise stage errors tagged with the stage name."""
     try:
         yield
-    except _StageFailure:
-        raise
     except Exception as exc:
         raise _StageFailure(name, exc) from exc
 
@@ -259,6 +257,8 @@ def _read_params_file(path) -> PivotParams:
                     path=path,
                     line=lineno,
                 )
+            if name in values:
+                raise ParseError(f"duplicate parameter {name!r}", path=path, line=lineno)
             try:
                 values[name] = float(value)
             except ValueError:

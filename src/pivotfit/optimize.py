@@ -22,6 +22,7 @@ import numpy as np
 from pivotfit.ingest import SignalPair
 from pivotfit.pivot import (
     PARAM_NAMES,
+    History,
     PivotParams,
     build_geometry,
     simulate,
@@ -163,10 +164,12 @@ def evaluate(params: PivotParams, backbone, resampled: SignalPair) -> float:
     return deviation_score(response, resampled.load)
 
 
-def _score_genes(geometry, resampled: SignalPair, genes) -> float:
-    """Score of one gene vector; inf where the candidate cannot run."""
+def _score_genes(geometry, history: History, load, genes) -> float:
+    """Score of one gene vector against the load record of a history
+    prepared on geometry; inf where the candidate cannot run."""
     try:
-        return evaluate(PivotParams.from_array(genes), geometry, resampled)
+        response = simulate(geometry, PivotParams.from_array(genes), history)
+        return deviation_score(response, load)
     except (ValueError, ZeroDivisionError):
         return float("inf")
 
@@ -244,12 +247,18 @@ def fit(
     best-ever individual and ``history`` the full per-generation record.
     Fully reproducible from ``config.rng_seed``, independent of
     ``config.workers``. ``on_generation(generation, history)`` is called
-    after each generation is recorded.
+    after each generation is recorded. A record the engine cannot run
+    raises one FitError before any genome is scored.
     """
     if config is None:
         config = GAConfig()
     config.validate()
-    score = partial(_score_genes, build_geometry(backbone), resampled)
+    geometry = build_geometry(backbone)
+    try:
+        history = History(geometry, resampled.displacement)
+    except ValueError as exc:
+        raise FitError(f"the record cannot be simulated: {exc}") from exc
+    score = partial(_score_genes, geometry, history, resampled.load)
 
     lo = config.bounds.lower()
     hi = config.bounds.upper()

@@ -55,8 +55,9 @@ envelope load of the sample that set the new extreme. Runs are cut by
 ``resample.sign_flips``, which also cuts resampling segments and
 backbone half-cycles. What a run holds whatever the parameters (its
 samples as search keys, its last displacement and envelope load) is
-computed with the elastic prefix, once per history, so a simulation
-only launches branches and searches their event points.
+computed with the elastic prefix into a ``History``. A caller that
+simulates one history many times prepares its ``History`` once, so a
+simulation only launches branches and searches their event points.
 """
 
 from __future__ import annotations
@@ -117,19 +118,22 @@ PARAM_NAMES = ("alpha1", "alpha2", "beta1", "beta2", "eta")
 
 
 class BackboneGeometry:
-    """Stiffnesses, yield points and envelope interpolant of a backbone."""
+    """Stiffnesses, yield points and envelope interpolant of a backbone;
+    a plain value, whose 7 knots are read-only float arrays."""
 
     def __init__(self, knots_d, knots_f):
-        self.knots_d = [float(v) for v in knots_d]
-        self.knots_f = [float(v) for v in knots_f]
-        if len(self.knots_d) != 7 or len(self.knots_f) != 7:
+        kd = np.array(knots_d, dtype=float)
+        kf = np.array(knots_f, dtype=float)
+        if kd.shape != (7,) or kf.shape != (7,):
             raise ValueError("backbone geometry needs exactly 7 points")
-        if not all(map(math.isfinite, self.knots_d + self.knots_f)):
+        if not (np.isfinite(kd).all() and np.isfinite(kf).all()):
             raise ValueError("backbone geometry points must be finite")
-        if any(a > b for a, b in zip(self.knots_d, self.knots_d[1:])):
+        if (kd[:-1] > kd[1:]).any():
             raise ValueError("backbone geometry displacements must be non-decreasing")
-        dy_neg, fy_neg = self.knots_d[2], self.knots_f[2]
-        dy_pos, fy_pos = self.knots_d[4], self.knots_f[4]
+        kd.flags.writeable = kf.flags.writeable = False
+        self.knots_d, self.knots_f = kd, kf
+        dy_neg, fy_neg = float(kd[2]), float(kf[2])
+        dy_pos, fy_pos = float(kd[4]), float(kf[4])
         if not dy_neg < 0.0 < dy_pos:
             raise ValueError("yield displacement must be nonzero and of its side's sign")
         self.k_pos = fy_pos / dy_pos
@@ -142,33 +146,13 @@ class BackboneGeometry:
         self.dy_neg = dy_neg
         # envelope loads at the yield points; a repeated knot can make
         # them differ from the yield forces
-        self.f_dy_pos = self.envelope(dy_pos)
-        self.f_dy_neg = self.envelope(dy_neg)
-        self._knot_arrays = np.array(self.knots_d), np.array(self.knots_f)
-        self._history = None  # the last history seen, see history()
-
-    def envelope(self, d: float) -> float:
-        """Piecewise-linear backbone load at displacement d, clamped at
-        the terminal values beyond the ultimate points."""
-        kd = self.knots_d
-        kf = self.knots_f
-        if d <= kd[0]:
-            return kf[0]
-        if d >= kd[6]:
-            return kf[6]
-        for i in range(6):
-            if d <= kd[i + 1]:
-                x0, x1 = kd[i], kd[i + 1]
-                if d == x1:  # exact at knots
-                    return kf[i + 1]
-                if d == x0:
-                    return kf[i]
-                return kf[i] + (kf[i + 1] - kf[i]) * (d - x0) / (x1 - x0)
-        return kf[6]
+        self.f_dy_neg, self.f_dy_pos = self.envelope_at(kd[[2, 4]]).tolist()
 
     def envelope_at(self, d: np.ndarray) -> np.ndarray:
-        """``envelope`` of every element of d, bit for bit."""
-        kd, kf = self._knot_arrays
+        """Piecewise-linear backbone load at every displacement of d,
+        clamped at the terminal loads beyond the ultimate points and
+        exact at the knots."""
+        kd, kf = self.knots_d, self.knots_f
         # the first segment whose right knot is not below d wins
         i = np.minimum(kd[1:].searchsorted(d), 5)
         x0, x1, f0, f1 = kd[i], kd[i + 1], kf[i], kf[i + 1]
@@ -178,18 +162,6 @@ class BackboneGeometry:
         out[d >= kd[6]] = kf[6]
         out[d <= kd[0]] = kf[0]
         return out
-
-    def history(self, displacements) -> "_History":
-        """Engine facts of a displacement history on this geometry.
-
-        The facts of the last history seen are kept, keyed by its bytes,
-        so repeated simulations of one record compute them once.
-        """
-        key = np.asarray(displacements, dtype=float).tobytes()
-        facts = self._history
-        if facts is None or facts.key != key:
-            facts = self._history = _History(self, key)
-        return facts
 
 
 def build_geometry(backbone) -> BackboneGeometry:
@@ -279,7 +251,7 @@ def _launch(s: int, x0: float, y0: float, dep, tgt):
     return (f_e - y0) / (d_e - x0), [to_env]
 
 
-def _respond(g: BackboneGeometry, p: PivotParams, history: "_History") -> np.ndarray:
+def _respond(g: BackboneGeometry, p: PivotParams, history: "History") -> np.ndarray:
     """Load at every sample of a history, from the virgin state.
 
     The loads of the elastic prefix come with the history; from the
@@ -370,26 +342,28 @@ def _respond(g: BackboneGeometry, p: PivotParams, history: "_History") -> np.nda
     return np.concatenate(([0.0], history.elastic, tail))[history.fill]
 
 
-class _History:
+class History:
     """What a displacement history holds for the engine on one geometry.
 
-    Depends only on the history and the geometry, so a fit computes it
-    once: the changed samples, the envelope load at every sample, the
-    elastic prefix (the samples before the first one outside the yield
-    displacements, their elastic loads and the engine state after them)
-    and what the monotone runs past the prefix hold whatever the
-    parameters: ``keys``, the samples past the prefix, each negated in a
-    falling run so that the keys rise along every run, and ``runs``, one
-    tuple (a, b, s, d_end, f_end) per run: the slice of keys it spans,
-    its direction and the displacement and envelope load of its last
-    sample. A run ends before the first step against its direction
-    (``resample.sign_flips`` over the steps into the samples). ``keys``
-    is one more float array: no Python object per sample.
+    Depends only on the history and the geometry, so a caller that
+    simulates one history many times (the GA) prepares it once and
+    passes it to ``simulate`` in place of the displacements. Immutable:
+    its arrays are read-only, its own copies. ``len()`` is the sample
+    count. It holds the geometry, the changed samples, the envelope load
+    at every sample, the elastic prefix (the samples before the first
+    one outside the yield displacements, their elastic loads and the
+    engine state after them) and what the monotone runs past the prefix
+    hold whatever the parameters: ``keys``, the samples past the prefix,
+    each negated in a falling run so that the keys rise along every run,
+    and ``runs``, one tuple (a, b, s, d_end, f_end) per run: the slice of
+    keys it spans, its direction and the displacement and envelope load
+    of its last sample. A run ends before the first step against its
+    direction (``resample.sign_flips`` over the steps into the samples).
+    Per sample it holds numpy arrays only, no Python object.
     """
 
-    def __init__(self, geom: BackboneGeometry, key: bytes):
-        self.key = key
-        x = np.frombuffer(key)
+    def __init__(self, geometry: BackboneGeometry, displacements):
+        x = np.array(displacements, dtype=float).ravel()
         finite = np.isfinite(x)
         if not finite.all():
             bad = x[np.argmin(finite)]
@@ -399,17 +373,12 @@ class _History:
         changed = np.empty(x.shape[0], dtype=bool)
         changed[:1] = x[:1] != 0.0
         np.not_equal(x[1:], x[:-1], out=changed[1:])
-        if changed.all():
-            self.fill = None
-            xs = x
-        else:
-            self.fill = np.cumsum(changed)
-            xs = x[changed]
-        self.xs = xs
+        fill = None if changed.all() else np.cumsum(changed)
+        xs = x if fill is None else x[changed]
         m = xs.shape[0]
-        self.envelope = geom.envelope_at(xs)
-        inside = (geom.dy_neg <= xs) & (xs <= geom.dy_pos)
-        self.n0 = n0 = m if inside.all() else int(inside.argmin())
+        envelope = geometry.envelope_at(xs)
+        inside = (geometry.dy_neg <= xs) & (xs <= geometry.dy_pos)
+        n0 = m if inside.all() else int(inside.argmin())
         # the step into each sample, never zero; a run ends before a step
         # against the previous one and has the direction of its last step
         steps = xs - np.concatenate(([0.0], xs[:-1]))
@@ -419,31 +388,43 @@ class _History:
         # so the samples times the signs of their steps rise along each
         # run: x moving up, -x moving down (an exact negation).
         signs = np.sign(steps)
-        self.keys = xs[n0:] * signs[n0:]
+        keys = xs[n0:] * signs[n0:]
         # per run: where its keys start and end, its direction, its last
         # displacement and the envelope load there
         last = ends - 1
         bounds = (ends - n0).tolist()
-        self.runs = list(
+        runs = tuple(
             zip(
                 [0, *bounds[:-1]],
                 bounds,
                 signs[last].tolist(),
                 xs[last].tolist(),
-                self.envelope[last].tolist(),
+                envelope[last].tolist(),
             )
         )
         prefix = xs[:n0]
-        elastic = np.where(prefix >= 0.0, geom.k_pos * prefix, geom.k_neg * prefix)
-        elastic[prefix == geom.dy_pos] = geom.fy_pos
-        elastic[prefix == geom.dy_neg] = geom.fy_neg
-        self.elastic = elastic
+        elastic = np.where(prefix >= 0.0, geometry.k_pos * prefix, geometry.k_neg * prefix)
+        elastic[prefix == geometry.dy_pos] = geometry.fy_pos
+        elastic[prefix == geometry.dy_neg] = geometry.fy_neg
         # engine state after the prefix: point, load, extremes, direction
-        self.start = (0.0, 0.0, 0.0, 0.0, 0)
+        start = (0.0, 0.0, 0.0, 0.0, 0)
         if n0:
             d, f = float(prefix[-1]), float(elastic[-1])
             hi, lo = max(0.0, float(prefix.max())), min(0.0, float(prefix.min()))
-            self.start = (d, f, hi, lo, 1 if steps[n0 - 1] > 0.0 else -1)
+            start = (d, f, hi, lo, 1 if steps[n0 - 1] > 0.0 else -1)
+        for array in (xs, envelope, keys, elastic, fill):
+            if array is not None:
+                array.flags.writeable = False
+        vars(self).update(
+            geometry=geometry, xs=xs, fill=fill, envelope=envelope, n0=n0,
+            keys=keys, runs=runs, elastic=elastic, start=start,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"History is immutable, cannot set {name!r}")
+
+    def __len__(self):
+        return self.xs.shape[0] if self.fill is None else self.fill.shape[0]
 
 
 def simulate(backbone, params: PivotParams, displacements) -> np.ndarray:
@@ -451,7 +432,13 @@ def simulate(backbone, params: PivotParams, displacements) -> np.ndarray:
 
     Starts from the virgin state; output has one load per input
     displacement. Deterministic: identical inputs give identical
-    outputs.
+    outputs. ``displacements`` is an array, or a ``History`` prepared on
+    the same ``BackboneGeometry`` object as ``backbone``.
     """
     geom = build_geometry(backbone)
-    return _respond(geom, params, geom.history(displacements))
+    history = displacements
+    if not isinstance(history, History):
+        history = History(geom, displacements)
+    elif history.geometry is not geom:
+        raise ValueError("the history was prepared on another backbone geometry")
+    return _respond(geom, params, history)

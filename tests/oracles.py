@@ -233,6 +233,24 @@ def random_cyclic_record(rng, n_cycles=None):
     return np.array(disp), np.array(load)
 
 
+def backbone_load_oracle(geometry, d):
+    """Piecewise-linear backbone load at displacement d, clamped at the
+    terminal loads beyond the ultimate points; the reference that
+    ``BackboneGeometry.envelope_at`` must match bit for bit."""
+    kd = geometry.knots_d.tolist()
+    kf = geometry.knots_f.tolist()
+    if d <= kd[0]:
+        return kf[0]
+    if d >= kd[6]:
+        return kf[6]
+    # kd[i] < d at step i, so the first knot not below d ends d's segment
+    for i in range(6):
+        if d == kd[i + 1]:  # exact at knots
+            return kf[i + 1]
+        if d < kd[i + 1]:
+            return kf[i] + (kf[i + 1] - kf[i]) * (d - kd[i]) / (kd[i + 1] - kd[i])
+
+
 # branch kinds of the stepping engine
 _ENV = 0
 _LINE = 1
@@ -244,7 +262,8 @@ class SteppingEngine:
 
     Recomputes the launch geometry of both sides at every branch launch,
     straight from the rules in the ``pivotfit.pivot`` docstring; only the
-    backbone geometry is shared with the library.
+    backbone geometry's knots, stiffnesses and yield points are shared
+    with the library, and envelope loads come from ``backbone_load_oracle``.
     """
 
     def __init__(self, geometry, params: PivotParams):
@@ -279,7 +298,7 @@ class SteppingEngine:
         # extreme-response point asymptotically but never reaches it;
         # unloading softer than the secant would invert loop orientation
         # and generate energy.
-        secant = g.envelope(d_e) / d_e
+        secant = backbone_load_oracle(g, d_e) / d_e
         if 0.0 < secant < k:
             return secant + (k - secant) / shrink
         return k / shrink
@@ -293,7 +312,7 @@ class SteppingEngine:
             d_e = self.d_max if self.d_max > g.dy_pos else g.dy_pos
         else:
             d_e = self.d_min if self.d_min < g.dy_neg else g.dy_neg
-        return d_e, g.envelope(d_e)
+        return d_e, backbone_load_oracle(g, d_e)
 
     def _side_yielded(self, s: int) -> bool:
         g = self.geom
@@ -445,7 +464,7 @@ class SteppingEngine:
 
     def _move_on_envelope(self, d_next):
         self.d = d_next
-        self.f = self.geom.envelope(d_next)
+        self.f = backbone_load_oracle(self.geom, d_next)
         if d_next > self.d_max:
             self.d_max = d_next
         if d_next < self.d_min:

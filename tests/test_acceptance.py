@@ -22,6 +22,7 @@ from pivotfit import (
     deviation_score,
     extract_envelope,
     fit,
+    History,
     idealize,
     irregular_resample,
     regular_reduce,
@@ -236,7 +237,7 @@ def test_c07_envelope_bound_invariant(symmetric_backbone, asymmetric_backbone):
         bb = backbones[h % 2]
         geom = build_geometry(bb)
         f_lo, f_hi = min(geom.knots_f), max(geom.knots_f)
-        hist = np.clip(np.cumsum(rng.normal(0, 0.5, 36)), -5.2, 6.2)
+        hist = History(geom, np.clip(np.cumsum(rng.normal(0, 0.5, 36)), -5.2, 6.2))
         for params in params_pool:
             loads = simulate(geom, params, hist)
             assert loads.max() <= f_hi + 1e-9 * abs(f_hi)
@@ -303,17 +304,18 @@ def test_c11_one_parameter_grid_search_equivalence(round_trip_record):
     record, backbone, truth = round_trip_record
     defaults = ParamBounds()
     tv = truth.as_array()
+    geom = build_geometry(backbone)
+    history = History(geom, record.displacement)
     for i, name in enumerate(PARAM_NAMES):
         start = time.perf_counter()
         lo, hi = getattr(defaults, name)
         span = hi - lo
-        geom = build_geometry(backbone)
         best_grid, best_score = None, np.inf
         for k in range(1001):  # resolution 1e-3 of the range
             v = lo + k * span * 1e-3
             arr = tv.copy()
             arr[i] = v
-            response = simulate(geom, PivotParams.from_array(arr), record.displacement)
+            response = simulate(geom, PivotParams.from_array(arr), history)
             s = deviation_score(response, record.load)
             if s < best_score:
                 best_score, best_grid = s, v

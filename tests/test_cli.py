@@ -127,6 +127,44 @@ def test_stage_composability(workdir):
     assert (out / "response.csv").read_bytes() == response
 
 
+def test_stage_by_stage_writes_the_pipeline_bytes(workdir):
+    tmp, raw, out, config = workdir
+    assert main(["pipeline", "--config", str(config)]) == 0
+    staged = tmp / "staged"
+    for command in ("resample", "backbone", "fit"):
+        assert main([command, "--config", str(config), "--outdir", str(staged)]) == 0
+    names = sorted(os.listdir(out))
+    assert sorted(os.listdir(staged)) == names
+    for name in names:
+        if name != "manifest.json":
+            assert (staged / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def _raise_value_error(*args, **kwargs):
+    raise ValueError("boom")
+
+
+def test_simulate_stage_error_in_fit_names_the_stage(workdir, monkeypatch, capsys):
+    tmp, raw, out, config = workdir
+    for command in ("resample", "backbone"):
+        assert main([command, "--config", str(config)]) == 0
+    monkeypatch.setattr(pivotfit.cli, "simulate", _raise_value_error)
+    assert main(["fit", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "pivotfit: stage 'simulate': boom\n"
+    assert (out / "best_params.txt").exists()  # the fit stage completed
+    # the manifest left is the backbone stage's: the failed fit wrote none
+    assert json.loads((out / "manifest.json").read_text())["command"] == "backbone"
+
+
+def test_params_file_rejects_a_repeated_parameter(tmp_path, capsys):
+    params = tmp_path / "params.txt"
+    params.write_text("alpha1=5\nalpha2=8\nbeta1=0.7\nbeta2=0.6\neta=40\nalpha1=50\n")
+    argv = ["simulate", "--outdir", str(tmp_path), "--params", str(params)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{params}: line 6: duplicate parameter 'alpha1'" in err
+
+
 def test_simulate_self_consistency(workdir):
     """Simulating the generating params reproduces the experimental
     column: the record is regenerated from the params file so the

@@ -1,18 +1,22 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from pivotfit import (
+    FitError,
+    GAConfig,
     IdealizedBackbone,
     PivotParams,
     SignalPair,
     build_geometry,
+    fit,
     simulate,
 )
-from pivotfit.optimize import _score_genes
-from pivotfit.pivot import BackboneGeometry
+from pivotfit.pivot import BackboneGeometry, History
 from pivotfit.resample import sign_flips
 from conftest import triangle_protocol
-from oracles import SteppingEngine, step_simulate_oracle
+from oracles import SteppingEngine, backbone_load_oracle, step_simulate_oracle
 
 
 def test_params_bounds_enforced():
@@ -70,10 +74,35 @@ def test_geometry_rejects_unordered_knots():
         BackboneGeometry([-3, -2, -1, -0.5, -0.2, 2, 3], [-12, -15, -10, -5, -2, 9, 9])
 
 
+def test_geometry_rejects_wrong_point_count():
+    with pytest.raises(ValueError, match="exactly 7 points"):
+        BackboneGeometry([-3, -2, -1, 0, 1, 2], [-12, -15, -10, 0, 10, 15])
+    with pytest.raises(ValueError, match="exactly 7 points"):
+        BackboneGeometry([-3, -2, -1, 0, 1, 2, 3], [-12, -15, -10, 0, 10, 15, 12, 9])
+
+
+def test_geometry_rejects_non_positive_stiffness():
+    knots_d = [-3, -2, -1, 0, 1, 2, 3]
+    for knots_f in (
+        [-12, -15, -10, 0, -10, 15, 12],  # positive yield force below zero
+        [-12, -15, 0.0, 0, 10, 15, 12],  # zero negative yield force
+    ):
+        with pytest.raises(ValueError, match="elastic stiffness must be positive"):
+            BackboneGeometry(knots_d, knots_f)
+
+
+def test_geometry_knots_are_read_only_float_arrays(symmetric_backbone):
+    g = build_geometry(symmetric_backbone)
+    for knots in (g.knots_d, g.knots_f):
+        assert knots.dtype == float and knots.shape == (7,)
+        with pytest.raises(ValueError, match="read-only"):
+            knots[0] = 0.0
+
+
 def test_envelope_interpolant_through_knots(symmetric_backbone):
     g = build_geometry(symmetric_backbone)
-    for d, f in zip(symmetric_backbone.displacement, symmetric_backbone.load):
-        assert g.envelope(d) == f
+    loads = g.envelope_at(np.asarray(symmetric_backbone.displacement, dtype=float))
+    assert loads.tolist() == list(symmetric_backbone.load)
 
 
 def test_envelope_at_matches_envelope_bit_for_bit():
@@ -94,7 +123,7 @@ def test_envelope_at_matches_envelope_bit_for_bit():
                 rng.uniform(kd[0] - 0.5, kd[6] + 0.5, 50),
             ]
         )
-        expected = np.array([g.envelope(float(v)) for v in points])
+        expected = np.array([backbone_load_oracle(g, float(v)) for v in points])
         assert g.envelope_at(points).tobytes() == expected.tobytes()
 
 
@@ -128,7 +157,7 @@ def test_unloading_line_geometric_oracle(symmetric_backbone):
     g = build_geometry(symmetric_backbone)
     hist = np.concatenate([np.linspace(0, 2, 41), np.linspace(2, 0, 41)[1:]])
     loads = simulate(symmetric_backbone, params, hist)
-    start_d, start_f = 2.0, g.envelope(2.0)
+    start_d, start_f = 2.0, backbone_load_oracle(g, 2.0)
     pivot_d = -alpha1 * g.fy_pos / g.k_pos
     pivot_f = -alpha1 * g.fy_pos
     slope = (start_f - pivot_f) / (start_d - pivot_d)
@@ -146,8 +175,9 @@ def test_virgin_reload_targets_yield_point(symmetric_backbone):
     g = build_geometry(symmetric_backbone)
     hist = np.concatenate([np.linspace(0, 2, 41), np.linspace(2, -1.0, 61)[1:]])
     loads = simulate(symmetric_backbone, params, hist)
-    slope = (g.envelope(2.0) + 2 * g.fy_pos) / (2.0 + 2 * g.fy_pos / g.k_pos)
-    d0 = 2.0 - g.envelope(2.0) / slope
+    f_start = backbone_load_oracle(g, 2.0)
+    slope = (f_start + 2 * g.fy_pos) / (2.0 + 2 * g.fy_pos / g.k_pos)
+    d0 = 2.0 - f_start / slope
     r_slope = g.fy_neg / (g.dy_neg - d0)
     for d, f in zip(hist[41:], loads[41:]):
         if g.dy_neg < d < d0:
@@ -297,9 +327,12 @@ def test_engine_rejects_non_finite_displacement(symmetric_backbone):
         hist = np.array([0.0, 0.5, bad, 1.0])
         with pytest.raises(ValueError, match="finite"):
             simulate(g, params, hist)
-        # the GA scores such a candidate as failed
+        # the GA fails once, on the record, not once per genome
         record = SignalPair(hist, np.zeros(4))
-        assert _score_genes(g, record, params.as_array()) == np.inf
+        for workers in (1, 2):
+            config = GAConfig(population_size=4, max_generations=2, workers=workers)
+            with pytest.raises(FitError, match="finite"):
+                fit(record, g, config)
 
 
 def random_params(rng):
@@ -452,7 +485,7 @@ def test_simulate_matches_oracle_on_ulp_growth_and_repeated_knots(
         else:
             bb = (symmetric_backbone, asymmetric_backbone, random_backbone(rng))[trial // 2 % 3]
         g = build_geometry(bb)
-        repeats += g.envelope(g.dy_neg) != g.fy_neg
+        repeats += g.f_dy_neg != g.fy_neg
         params = random_params(rng)
         if trial % 4 < 2:
             hist = ulp_growth_history(rng, g)
@@ -497,7 +530,7 @@ def test_elastic_prefix_matches_step_oracle(symmetric_backbone, asymmetric_backb
         g = build_geometry(bb)
         params = random_params(rng)
         hist, n0 = prefix_history(rng, g, trial // 3 % 4)
-        history = g.history(hist)
+        history = History(g, hist)
         assert history.n0 == n0
         # the engine state after the prefix is the stepping engine's
         engine = SteppingEngine(g, params)
@@ -547,6 +580,41 @@ def test_history_facts_follow_the_bytes(symmetric_backbone):
     assert simulate(g, params, hist).tobytes() == first.tobytes()
 
 
+def test_history_is_an_immutable_value(symmetric_backbone):
+    g = build_geometry(symmetric_backbone)
+    params = PivotParams(3, 3, 0.5, 0.5, 50)
+    hist = triangle_protocol([2.5, -2.5, 2.5], pts=40)
+    hist[5] = hist[4]  # a repeated sample
+    history = History(g, hist)
+    assert len(history) == hist.shape[0]
+    expected = step_simulate_oracle(g, params, hist).tobytes()
+    hist *= 0.5  # the caller's array changes, the history does not
+    assert simulate(g, params, history).tobytes() == expected
+    for array in (history.xs, history.envelope, history.keys, history.fill):
+        assert not array.flags.writeable
+    with pytest.raises(AttributeError, match="immutable"):
+        history.n0 = 0
+
+
+def test_history_survives_a_pickle_round_trip(asymmetric_backbone):
+    g = build_geometry(asymmetric_backbone)
+    params = PivotParams(3, 7, 0.5, 0.2, 50)
+    hist = triangle_protocol([2.5, -2.5, 0.3, -3.0, 4.0], pts=30)
+    expected = simulate(g, params, hist).tobytes()
+    # a pool worker receives the geometry and the history in one pickle
+    g2, history = pickle.loads(pickle.dumps((g, History(g, hist))))
+    assert history.geometry is g2
+    assert simulate(g2, params, history).tobytes() == expected
+
+
+def test_simulate_rejects_a_history_of_another_geometry(symmetric_backbone):
+    params = PivotParams(3, 3, 0.5, 0.5, 50)
+    history = History(build_geometry(symmetric_backbone), [0.0, 1.5, -1.0])
+    for backbone in (build_geometry(symmetric_backbone), symmetric_backbone):
+        with pytest.raises(ValueError, match="another backbone geometry"):
+            simulate(backbone, params, history)
+
+
 def run_facts_history(rng, g, kind):
     if kind == 0:  # walk with repeated samples and signed zeros
         hist = np.round(np.cumsum(rng.choice([-1.0, 0.0, 1.0], 60) * rng.uniform(0, 1, 60)), 1)
@@ -568,7 +636,7 @@ def test_history_runs_hold_the_samples_past_the_prefix(symmetric_backbone):
     for trial in range(500):
         bb = symmetric_backbone if trial % 2 else random_backbone(rng)
         g = build_geometry(bb)
-        history = g.history(run_facts_history(rng, g, trial // 2 % 4))
+        history = History(g, run_facts_history(rng, g, trial // 2 % 4))
         xs, n0 = history.xs, history.n0
         steps = xs - np.concatenate(([0.0], xs[:-1]))
         ends = np.append(sign_flips(steps), xs.shape[0])
