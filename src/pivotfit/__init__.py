@@ -27,13 +27,7 @@ from pivotfit.backbone import (
     extract_envelope,
     idealize,
 )
-from pivotfit.pivot import (
-    BackboneGeometry,
-    History,
-    PivotParams,
-    build_geometry,
-    simulate,
-)
+from pivotfit.pivot import History, PivotParams, simulate
 from pivotfit.optimize import (
     FitError,
     GAConfig,
@@ -62,9 +56,7 @@ __all__ = [
     "extract_envelope",
     "idealize",
     "PivotParams",
-    "BackboneGeometry",
     "History",
-    "build_geometry",
     "simulate",
     "GAConfig",
     "ParamBounds",

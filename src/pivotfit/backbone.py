@@ -7,7 +7,10 @@ whose load magnitude exceeds 65% of the side's extreme load), the
 extreme-load point and the extreme-displacement point, plus the origin.
 A half-cycle ends at the first load of the other sign, zero loads
 carrying no sign: the rule (``resample.sign_flips``) that also splits
-displacement into monotone segments.
+displacement into monotone segments. The idealized backbone is also the
+geometry the Pivot engine runs on: it carries the yield points,
+stiffnesses and envelope interpolant the engine reads, so no conversion
+sits between ``idealize`` and ``simulate``.
 """
 
 from __future__ import annotations
@@ -49,6 +52,12 @@ class IdealizedBackbone:
     extreme load, elastic limit), points 5-7 mirror them on the positive
     side. ``yield_equals_peak_positive``/``negative`` flag the degenerate
     case where the elastic-limit scan stopped at the extreme-load point.
+
+    The one backbone value of the package: ``idealize`` returns it, and
+    the Pivot engine reads its yield points (``dy_*``, ``fy_*``),
+    elastic stiffnesses (``k_pos``, ``k_neg``), envelope loads at the
+    yield points (``f_dy_*``) and ``envelope_at``. Its points are its
+    own read-only float copies, so a caller's arrays are never aliased.
     """
 
     displacement: np.ndarray
@@ -57,28 +66,61 @@ class IdealizedBackbone:
     yield_equals_peak_negative: bool = False
 
     def __post_init__(self):
-        d = np.asarray(self.displacement, dtype=float)
-        f = np.asarray(self.load, dtype=float)
-        object.__setattr__(self, "displacement", d)
-        object.__setattr__(self, "load", f)
-        _check_idealized(d, f)
+        d = np.array(self.displacement, dtype=float)
+        f = np.array(self.load, dtype=float)
+        if d.shape != (7,) or f.shape != (7,):
+            raise ValueError("idealized backbone must have exactly 7 points")
+        if not (np.isfinite(d).all() and np.isfinite(f).all()):
+            raise ValueError("idealized points must be finite")
+        if (d[:-1] > d[1:]).any():
+            raise ValueError("idealized displacements must be non-decreasing")
+        dy_neg, fy_neg = float(d[2]), float(f[2])
+        dy_pos, fy_pos = float(d[4]), float(f[4])
+        if not dy_neg < 0.0 < dy_pos:
+            raise ValueError("yield displacement must be nonzero and of its side's sign")
+        if d[3] != 0.0 or f[3] != 0.0:
+            raise ValueError("idealized point 4 must be the origin")
+        k_pos = fy_pos / dy_pos
+        k_neg = fy_neg / dy_neg
+        if k_pos <= 0 or k_neg <= 0:
+            raise ValueError("elastic stiffness must be positive on both sides")
+        d.flags.writeable = f.flags.writeable = False
+        vars(self).update(displacement=d, load=f)
+        # envelope loads at the yield points; a repeated knot can make
+        # them differ from the yield forces
+        f_dy_neg, f_dy_pos = self.envelope_at(d[[2, 4]]).tolist()
+        vars(self).update(
+            k_pos=k_pos, k_neg=k_neg, fy_pos=fy_pos, fy_neg=fy_neg,
+            dy_pos=dy_pos, dy_neg=dy_neg, f_dy_pos=f_dy_pos, f_dy_neg=f_dy_neg,
+        )
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so its arrays stay read-only
+        return type(self), (
+            self.displacement,
+            self.load,
+            self.yield_equals_peak_positive,
+            self.yield_equals_peak_negative,
+        )
 
     def point(self, k: int):
         """1-based point accessor."""
         return self.displacement[k - 1], self.load[k - 1]
 
-
-def _check_idealized(d, f):
-    if d.shape != (7,) or f.shape != (7,):
-        raise ValueError("idealized backbone must have exactly 7 points")
-    if not (np.isfinite(d).all() and np.isfinite(f).all()):
-        raise ValueError("idealized points must be finite")
-    if d[3] != 0.0 or f[3] != 0.0:
-        raise ValueError("idealized point 4 must be the origin")
-    if np.any(np.diff(d) < 0):
-        raise ValueError("idealized displacements must be non-decreasing")
-    if np.any(d[:3] > 0) or np.any(d[4:] < 0):
-        raise ValueError("points 1-3 must be non-positive and 5-7 non-negative in displacement")
+    def envelope_at(self, d: np.ndarray) -> np.ndarray:
+        """Piecewise-linear backbone load at every displacement of d,
+        clamped at the terminal loads beyond the ultimate points and
+        exact at the knots."""
+        kd, kf = self.displacement, self.load
+        # the first segment whose right knot is not below d wins
+        i = np.minimum(kd[1:].searchsorted(d), 5)
+        x0, x1, f0, f1 = kd[i], kd[i + 1], kf[i], kf[i + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = f0 + (f1 - f0) * (d - x0) / (x1 - x0)
+        out = np.where(d == x1, f1, out)  # exact at knots
+        out[d >= kd[6]] = kf[6]
+        out[d <= kd[0]] = kf[0]
+        return out
 
 
 def extract_envelope(pair: SignalPair) -> EnvelopeCurve:

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -408,6 +408,9 @@ def main(argv=None) -> int:
             cfg.ga_config().validate()  # before any stage writes a file
         manifest = _manifest(cfg, args.command)  # of the input as read
         os.makedirs(cfg.outdir, exist_ok=True)
+        # an earlier command's manifest would describe this run's outputs
+        with suppress(FileNotFoundError):
+            os.remove(cfg.path("manifest.json"))
         if args.command == "resample":
             cmd_resample(cfg)
         elif args.command == "backbone":

@@ -19,14 +19,8 @@ from functools import partial
 
 import numpy as np
 
-from pivotfit.ingest import SignalPair
-from pivotfit.pivot import (
-    PARAM_NAMES,
-    History,
-    PivotParams,
-    build_geometry,
-    simulate,
-)
+from pivotfit.ingest import SignalPair, validate
+from pivotfit.pivot import PARAM_NAMES, History, PivotParams, simulate
 
 
 class FitError(RuntimeError):
@@ -164,11 +158,11 @@ def evaluate(params: PivotParams, backbone, resampled: SignalPair) -> float:
     return deviation_score(response, resampled.load)
 
 
-def _score_genes(geometry, history: History, load, genes) -> float:
-    """Score of one gene vector against the load record of a history
-    prepared on geometry; inf where the candidate cannot run."""
+def _score_genes(history: History, load, genes) -> float:
+    """Score of one gene vector against the load record of a prepared
+    history; inf where the candidate cannot run."""
     try:
-        response = simulate(geometry, PivotParams.from_array(genes), history)
+        response = simulate(history.backbone, PivotParams.from_array(genes), history)
         return deviation_score(response, load)
     except (ValueError, ZeroDivisionError):
         return float("inf")
@@ -253,12 +247,12 @@ def fit(
     if config is None:
         config = GAConfig()
     config.validate()
-    geometry = build_geometry(backbone)
     try:
-        history = History(geometry, resampled.displacement)
+        validate(resampled)
+        history = History(backbone, resampled.displacement)
     except ValueError as exc:
         raise FitError(f"the record cannot be simulated: {exc}") from exc
-    score = partial(_score_genes, geometry, history, resampled.load)
+    score = partial(_score_genes, history, resampled.load)
 
     lo = config.bounds.lower()
     hi = config.bounds.upper()

@@ -2,6 +2,9 @@
 
 Given a 7-point idealized backbone, the five model parameters and a
 displacement history, the engine produces the load response history.
+The backbone is the ``IdealizedBackbone`` that ``idealize`` returns,
+used as it is: it carries the yield points, elastic stiffnesses and
+envelope interpolant the engine reads.
 
 Rule set (all branches are straight lines, so every transition point is
 solved exactly and the branch geometry is independent of step size):
@@ -68,6 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from pivotfit.backbone import IdealizedBackbone
 from pivotfit.resample import sign_flips
 
 ETA_SCALE = 100.0  # eta acts per 100 in the degradation shrink factor
@@ -117,62 +121,7 @@ class PivotParams:
 PARAM_NAMES = ("alpha1", "alpha2", "beta1", "beta2", "eta")
 
 
-class BackboneGeometry:
-    """Stiffnesses, yield points and envelope interpolant of a backbone;
-    a plain value, whose 7 knots are read-only float arrays."""
-
-    def __init__(self, knots_d, knots_f):
-        kd = np.array(knots_d, dtype=float)
-        kf = np.array(knots_f, dtype=float)
-        if kd.shape != (7,) or kf.shape != (7,):
-            raise ValueError("backbone geometry needs exactly 7 points")
-        if not (np.isfinite(kd).all() and np.isfinite(kf).all()):
-            raise ValueError("backbone geometry points must be finite")
-        if (kd[:-1] > kd[1:]).any():
-            raise ValueError("backbone geometry displacements must be non-decreasing")
-        kd.flags.writeable = kf.flags.writeable = False
-        self.knots_d, self.knots_f = kd, kf
-        dy_neg, fy_neg = float(kd[2]), float(kf[2])
-        dy_pos, fy_pos = float(kd[4]), float(kf[4])
-        if not dy_neg < 0.0 < dy_pos:
-            raise ValueError("yield displacement must be nonzero and of its side's sign")
-        self.k_pos = fy_pos / dy_pos
-        self.k_neg = fy_neg / dy_neg
-        if self.k_pos <= 0 or self.k_neg <= 0:
-            raise ValueError("elastic stiffness must be positive on both sides")
-        self.fy_pos = fy_pos
-        self.fy_neg = fy_neg
-        self.dy_pos = dy_pos
-        self.dy_neg = dy_neg
-        # envelope loads at the yield points; a repeated knot can make
-        # them differ from the yield forces
-        self.f_dy_neg, self.f_dy_pos = self.envelope_at(kd[[2, 4]]).tolist()
-
-    def envelope_at(self, d: np.ndarray) -> np.ndarray:
-        """Piecewise-linear backbone load at every displacement of d,
-        clamped at the terminal loads beyond the ultimate points and
-        exact at the knots."""
-        kd, kf = self.knots_d, self.knots_f
-        # the first segment whose right knot is not below d wins
-        i = np.minimum(kd[1:].searchsorted(d), 5)
-        x0, x1, f0, f1 = kd[i], kd[i + 1], kf[i], kf[i + 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = f0 + (f1 - f0) * (d - x0) / (x1 - x0)
-        out = np.where(d == x1, f1, out)  # exact at knots
-        out[d >= kd[6]] = kf[6]
-        out[d <= kd[0]] = kf[0]
-        return out
-
-
-def build_geometry(backbone) -> BackboneGeometry:
-    """Engine geometry of an IdealizedBackbone; a BackboneGeometry passes
-    through unchanged."""
-    if isinstance(backbone, BackboneGeometry):
-        return backbone
-    return BackboneGeometry(backbone.displacement, backbone.load)
-
-
-def _side(g: BackboneGeometry, p: PivotParams, s: int, d_x: float, f_x: float):
+def _side(g: IdealizedBackbone, p: PivotParams, s: int, d_x: float, f_x: float):
     """Launch geometry of the side in direction s, whose historical
     extreme is d_x with envelope load f_x: degraded elastic slope k,
     primary pivot (px, py), extreme-response point (d_e, f_e), pinching
@@ -251,7 +200,7 @@ def _launch(s: int, x0: float, y0: float, dep, tgt):
     return (f_e - y0) / (d_e - x0), [to_env]
 
 
-def _respond(g: BackboneGeometry, p: PivotParams, history: "History") -> np.ndarray:
+def _respond(g: IdealizedBackbone, p: PivotParams, history: "History") -> np.ndarray:
     """Load at every sample of a history, from the virgin state.
 
     The loads of the elastic prefix come with the history; from the
@@ -343,26 +292,28 @@ def _respond(g: BackboneGeometry, p: PivotParams, history: "History") -> np.ndar
 
 
 class History:
-    """What a displacement history holds for the engine on one geometry.
+    """What a displacement history holds for the engine on one backbone.
 
-    Depends only on the history and the geometry, so a caller that
+    Depends only on the history and the backbone, so a caller that
     simulates one history many times (the GA) prepares it once and
     passes it to ``simulate`` in place of the displacements. Immutable:
-    its arrays are read-only, its own copies. ``len()`` is the sample
-    count. It holds the geometry, the changed samples, the envelope load
-    at every sample, the elastic prefix (the samples before the first
-    one outside the yield displacements, their elastic loads and the
-    engine state after them) and what the monotone runs past the prefix
-    hold whatever the parameters: ``keys``, the samples past the prefix,
-    each negated in a falling run so that the keys rise along every run,
-    and ``runs``, one tuple (a, b, s, d_end, f_end) per run: the slice of
-    keys it spans, its direction and the displacement and envelope load
-    of its last sample. A run ends before the first step against its
-    direction (``resample.sign_flips`` over the steps into the samples).
-    Per sample it holds numpy arrays only, no Python object.
+    its arrays are read-only, its own copies, and stay read-only through
+    a pickle round trip. ``len()`` is the sample count. It holds the
+    ``IdealizedBackbone`` it was prepared on, the changed samples, the
+    envelope load at every sample, the elastic prefix (the samples
+    before the first one outside the yield displacements, their elastic
+    loads and the engine state after them) and what the monotone runs
+    past the prefix hold whatever the parameters: ``keys``, the samples
+    past the prefix, each negated in a falling run so that the keys rise
+    along every run, and ``runs``, one tuple (a, b, s, d_end, f_end) per
+    run: the slice of keys it spans, its direction and the displacement
+    and envelope load of its last sample. A run ends before the first
+    step against its direction (``resample.sign_flips`` over the steps
+    into the samples). Per sample it holds numpy arrays only, no Python
+    object.
     """
 
-    def __init__(self, geometry: BackboneGeometry, displacements):
+    def __init__(self, backbone: IdealizedBackbone, displacements):
         x = np.array(displacements, dtype=float).ravel()
         finite = np.isfinite(x)
         if not finite.all():
@@ -376,8 +327,8 @@ class History:
         fill = None if changed.all() else np.cumsum(changed)
         xs = x if fill is None else x[changed]
         m = xs.shape[0]
-        envelope = geometry.envelope_at(xs)
-        inside = (geometry.dy_neg <= xs) & (xs <= geometry.dy_pos)
+        envelope = backbone.envelope_at(xs)
+        inside = (backbone.dy_neg <= xs) & (xs <= backbone.dy_pos)
         n0 = m if inside.all() else int(inside.argmin())
         # the step into each sample, never zero; a run ends before a step
         # against the previous one and has the direction of its last step
@@ -403,22 +354,26 @@ class History:
             )
         )
         prefix = xs[:n0]
-        elastic = np.where(prefix >= 0.0, geometry.k_pos * prefix, geometry.k_neg * prefix)
-        elastic[prefix == geometry.dy_pos] = geometry.fy_pos
-        elastic[prefix == geometry.dy_neg] = geometry.fy_neg
+        elastic = np.where(prefix >= 0.0, backbone.k_pos * prefix, backbone.k_neg * prefix)
+        elastic[prefix == backbone.dy_pos] = backbone.fy_pos
+        elastic[prefix == backbone.dy_neg] = backbone.fy_neg
         # engine state after the prefix: point, load, extremes, direction
         start = (0.0, 0.0, 0.0, 0.0, 0)
         if n0:
             d, f = float(prefix[-1]), float(elastic[-1])
             hi, lo = max(0.0, float(prefix.max())), min(0.0, float(prefix.min()))
             start = (d, f, hi, lo, 1 if steps[n0 - 1] > 0.0 else -1)
-        for array in (xs, envelope, keys, elastic, fill):
-            if array is not None:
-                array.flags.writeable = False
-        vars(self).update(
-            geometry=geometry, xs=xs, fill=fill, envelope=envelope, n0=n0,
+        self.__setstate__(dict(
+            backbone=backbone, xs=xs, fill=fill, envelope=envelope, n0=n0,
             keys=keys, runs=runs, elastic=elastic, start=start,
-        )
+        ))
+
+    def __setstate__(self, state):
+        # also after unpickling: the arrays are read-only again
+        for name in ("xs", "envelope", "keys", "elastic", "fill"):
+            if state[name] is not None:
+                state[name].flags.writeable = False
+        vars(self).update(state)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"History is immutable, cannot set {name!r}")
@@ -433,12 +388,11 @@ def simulate(backbone, params: PivotParams, displacements) -> np.ndarray:
     Starts from the virgin state; output has one load per input
     displacement. Deterministic: identical inputs give identical
     outputs. ``displacements`` is an array, or a ``History`` prepared on
-    the same ``BackboneGeometry`` object as ``backbone``.
+    the same ``IdealizedBackbone`` object as ``backbone``.
     """
-    geom = build_geometry(backbone)
     history = displacements
     if not isinstance(history, History):
-        history = History(geom, displacements)
-    elif history.geometry is not geom:
+        history = History(backbone, displacements)
+    elif history.backbone is not backbone:
         raise ValueError("the history was prepared on another backbone geometry")
-    return _respond(geom, params, history)
+    return _respond(backbone, params, history)

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from pivotfit.ingest import ParseError, SignalPair, format_number, validate
-from pivotfit.pivot import PivotParams, build_geometry
+from pivotfit.pivot import PivotParams
 
 
 def load_record_oracle(path, delimiter=",", displacement_column=0, load_column=1):
@@ -233,12 +233,13 @@ def random_cyclic_record(rng, n_cycles=None):
     return np.array(disp), np.array(load)
 
 
-def backbone_load_oracle(geometry, d):
-    """Piecewise-linear backbone load at displacement d, clamped at the
-    terminal loads beyond the ultimate points; the reference that
-    ``BackboneGeometry.envelope_at`` must match bit for bit."""
-    kd = geometry.knots_d.tolist()
-    kf = geometry.knots_f.tolist()
+def backbone_load_oracle(backbone, d):
+    """Piecewise-linear load of an ``IdealizedBackbone`` at displacement
+    d, clamped at the terminal loads beyond the ultimate points; the
+    reference that ``IdealizedBackbone.envelope_at`` must match bit for
+    bit."""
+    kd = backbone.displacement.tolist()
+    kf = backbone.load.tolist()
     if d <= kd[0]:
         return kf[0]
     if d >= kd[6]:
@@ -262,12 +263,13 @@ class SteppingEngine:
 
     Recomputes the launch geometry of both sides at every branch launch,
     straight from the rules in the ``pivotfit.pivot`` docstring; only the
-    backbone geometry's knots, stiffnesses and yield points are shared
-    with the library, and envelope loads come from ``backbone_load_oracle``.
+    ``IdealizedBackbone``'s points, stiffnesses and yield points are
+    shared with the library, and envelope loads come from
+    ``backbone_load_oracle``.
     """
 
-    def __init__(self, geometry, params: PivotParams):
-        self.geom = build_geometry(geometry)
+    def __init__(self, backbone, params: PivotParams):
+        self.geom = backbone
         self.params = params
         self.d = 0.0
         self.f = 0.0

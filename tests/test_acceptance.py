@@ -17,7 +17,6 @@ from pivotfit import (
     ParamBounds,
     PivotParams,
     SignalPair,
-    build_geometry,
     detect_reversals,
     deviation_score,
     extract_envelope,
@@ -210,13 +209,12 @@ def elastic_loop_energy(d, f):
 def test_c06_elastic_closure(symmetric_backbone, asymmetric_backbone):
     start = time.perf_counter()
     rng = np.random.default_rng(3)
-    for bb in (symmetric_backbone, asymmetric_backbone):
-        g = build_geometry(bb)
+    for g in (symmetric_backbone, asymmetric_backbone):
         for _ in range(100):
             params = random_params(rng)
             inner = rng.uniform(0.98 * g.dy_neg, 0.98 * g.dy_pos, 16)
             hist = np.concatenate([[0.0], inner, [0.0]])
-            loads = simulate(bb, params, hist)
+            loads = simulate(g, params, hist)
             loop_energy = abs(elastic_loop_energy(hist, loads))
             peak_elastic = 0.5 * max(
                 g.k_pos * hist.max() ** 2, g.k_neg * hist.min() ** 2
@@ -235,11 +233,10 @@ def test_c07_envelope_bound_invariant(symmetric_backbone, asymmetric_backbone):
     count = 0
     for h in range(1000):
         bb = backbones[h % 2]
-        geom = build_geometry(bb)
-        f_lo, f_hi = min(geom.knots_f), max(geom.knots_f)
-        hist = History(geom, np.clip(np.cumsum(rng.normal(0, 0.5, 36)), -5.2, 6.2))
+        f_lo, f_hi = min(bb.load), max(bb.load)
+        hist = History(bb, np.clip(np.cumsum(rng.normal(0, 0.5, 36)), -5.2, 6.2))
         for params in params_pool:
-            loads = simulate(geom, params, hist)
+            loads = simulate(bb, params, hist)
             assert loads.max() <= f_hi + 1e-9 * abs(f_hi)
             assert loads.min() >= f_lo - 1e-9 * abs(f_lo)
             count += 1
@@ -304,8 +301,7 @@ def test_c11_one_parameter_grid_search_equivalence(round_trip_record):
     record, backbone, truth = round_trip_record
     defaults = ParamBounds()
     tv = truth.as_array()
-    geom = build_geometry(backbone)
-    history = History(geom, record.displacement)
+    history = History(backbone, record.displacement)
     for i, name in enumerate(PARAM_NAMES):
         start = time.perf_counter()
         lo, hi = getattr(defaults, name)
@@ -315,7 +311,7 @@ def test_c11_one_parameter_grid_search_equivalence(round_trip_record):
             v = lo + k * span * 1e-3
             arr = tv.copy()
             arr[i] = v
-            response = simulate(geom, PivotParams.from_array(arr), history)
+            response = simulate(backbone, PivotParams.from_array(arr), history)
             s = deviation_score(response, record.load)
             if s < best_score:
                 best_score, best_grid = s, v

@@ -203,3 +203,18 @@ def test_idealized_backbone_rejects_non_finite_knot(bad):
         IdealizedBackbone([-3, -2, bad, 0, 1, 2, 3], [-12, -15, -10, 0, 10, 15, 12])
     with pytest.raises(ValueError, match="finite"):
         IdealizedBackbone([-3, -2, -1, 0, 1, 2, 3], [-12, -15, -10, 0, 10, 15, bad])
+
+
+def test_idealized_backbone_owns_its_points():
+    d = np.array([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0])
+    f = np.array([-12.0, -15.0, -10.0, 0.0, 10.0, 15.0, 12.0])
+    bb = IdealizedBackbone(d, f)
+    at = np.array([-2.5, -1.0, 0.5, 1.5, 4.0])
+    expected = bb.envelope_at(at).tobytes()
+    d *= 2.0  # the caller's arrays stay writeable
+    f *= 3.0
+    assert bb.envelope_at(at).tobytes() == expected
+    assert bb.k_pos == 10.0
+    for points in (bb.displacement, bb.load):
+        with pytest.raises(ValueError, match="read-only"):
+            points[0] = 0.0

@@ -152,8 +152,8 @@ def test_simulate_stage_error_in_fit_names_the_stage(workdir, monkeypatch, capsy
     assert main(["fit", "--config", str(config)]) == 1
     assert capsys.readouterr().err == "pivotfit: stage 'simulate': boom\n"
     assert (out / "best_params.txt").exists()  # the fit stage completed
-    # the manifest left is the backbone stage's: the failed fit wrote none
-    assert json.loads((out / "manifest.json").read_text())["command"] == "backbone"
+    # the failed fit wrote no manifest and removed the backbone stage's
+    assert not (out / "manifest.json").exists()
 
 
 def test_params_file_rejects_a_repeated_parameter(tmp_path, capsys):
@@ -334,6 +334,16 @@ def test_failed_run_leaves_no_manifest(workdir, flags, code):
     assert out.is_dir()  # the run got as far as the stages
     assert not (out / "manifest.json").exists()
     assert not (out / "reduced.csv").exists()
+
+
+def test_failed_command_removes_an_earlier_manifest(workdir):
+    tmp, raw, out, config = workdir
+    for command in ("resample", "backbone"):
+        assert main([command, "--config", str(config)]) == 0
+    assert (out / "manifest.json").exists()
+    missing = str(tmp / "missing_params.txt")
+    assert main(["simulate", "--config", str(config), "--params", missing]) == 2
+    assert not (out / "manifest.json").exists()
 
 
 def test_module_runs_as_script(tmp_path):

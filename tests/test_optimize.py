@@ -223,6 +223,21 @@ def test_all_failures_raise_fit_error(symmetric_backbone):
             fit(bad, symmetric_backbone, config)
 
 
+@pytest.mark.parametrize(
+    "load, message",
+    [
+        (np.zeros(9), "length mismatch: displacement has 10 samples, load has 9"),
+        (np.where(np.arange(10) == 3, np.nan, 0.0), "non-finite load value at index 3"),
+    ],
+    ids=["length_mismatch", "non_finite_load"],
+)
+def test_fit_names_a_record_it_cannot_score(symmetric_backbone, load, message):
+    bad = SignalPair(np.linspace(0, 2, 10), load)
+    config = GAConfig(population_size=4, max_generations=2)
+    with pytest.raises(FitError, match=message):
+        fit(bad, symmetric_backbone, config)
+
+
 def test_round_trip_recovery_quick(round_trip_record):
     record, backbone, truth = round_trip_record
     best, history = fit(

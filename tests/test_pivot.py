@@ -9,11 +9,10 @@ from pivotfit import (
     IdealizedBackbone,
     PivotParams,
     SignalPair,
-    build_geometry,
     fit,
     simulate,
 )
-from pivotfit.pivot import BackboneGeometry, History
+from pivotfit.pivot import History
 from pivotfit.resample import sign_flips
 from conftest import triangle_protocol
 from oracles import SteppingEngine, backbone_load_oracle, step_simulate_oracle
@@ -32,53 +31,49 @@ def test_params_bounds_enforced():
 
 
 def test_geometry_simple_stiffness():
-    bb = IdealizedBackbone([-3, -2, -1, 0, 2, 3, 4], [-12, -15, -10, 0, 10, 15, 12])
-    g = build_geometry(bb)
+    g = IdealizedBackbone([-3, -2, -1, 0, 2, 3, 4], [-12, -15, -10, 0, 10, 15, 12])
     assert g.k_pos == 5.0  # 10 / 2
     assert g.fy_pos == 10.0
 
 
 def test_geometry_hand_example():
-    bb = IdealizedBackbone([-4, -3, -3, 0, 2, 4, 5], [-10, -16, -16, 0, 11, 16, 12])
-    g = build_geometry(bb)
+    g = IdealizedBackbone([-4, -3, -3, 0, 2, 4, 5], [-10, -16, -16, 0, 11, 16, 12])
     assert g.k_pos == pytest.approx(11 / 2)
     assert g.k_neg == pytest.approx(16 / 3)
 
 
 def test_geometry_antisymmetric(symmetric_backbone):
-    g = build_geometry(symmetric_backbone)
+    g = symmetric_backbone
     assert g.k_pos == g.k_neg
     assert g.fy_pos == -g.fy_neg
 
 
 def test_geometry_rejects_zero_yield_displacement():
     with pytest.raises(ValueError, match="nonzero"):
-        build_geometry(
-            IdealizedBackbone([-3, -2, 0, 0, 1, 2, 3], [-12, -15, -10, 0, 10, 15, 12])
-        )
+        IdealizedBackbone([-3, -2, 0, 0, 1, 2, 3], [-12, -15, -10, 0, 10, 15, 12])
 
 
 def test_geometry_rejects_non_finite_knot():
     knots_f = [-12, -15, -10, 0, 10, 15, 12]
     with pytest.raises(ValueError, match="finite"):
-        BackboneGeometry([-3, -2, np.nan, 0, 1, 2, 3], knots_f)
+        IdealizedBackbone([-3, -2, np.nan, 0, 1, 2, 3], knots_f)
     with pytest.raises(ValueError, match="finite"):
-        BackboneGeometry([-3, -2, -1, 0, 1, 2, np.inf], knots_f)
+        IdealizedBackbone([-3, -2, -1, 0, 1, 2, np.inf], knots_f)
 
 
 def test_geometry_rejects_unordered_knots():
     knots_f = [-12, -15, -10, 0, 10, 15, 12]
     with pytest.raises(ValueError, match="non-decreasing"):
-        BackboneGeometry([-3, -2, -1, 0, 1, 3, 2], knots_f)
+        IdealizedBackbone([-3, -2, -1, 0, 1, 3, 2], knots_f)
     with pytest.raises(ValueError, match="side's sign"):
-        BackboneGeometry([-3, -2, -1, -0.5, -0.2, 2, 3], [-12, -15, -10, -5, -2, 9, 9])
+        IdealizedBackbone([-3, -2, -1, -0.5, -0.2, 2, 3], [-12, -15, -10, -5, -2, 9, 9])
 
 
 def test_geometry_rejects_wrong_point_count():
     with pytest.raises(ValueError, match="exactly 7 points"):
-        BackboneGeometry([-3, -2, -1, 0, 1, 2], [-12, -15, -10, 0, 10, 15])
+        IdealizedBackbone([-3, -2, -1, 0, 1, 2], [-12, -15, -10, 0, 10, 15])
     with pytest.raises(ValueError, match="exactly 7 points"):
-        BackboneGeometry([-3, -2, -1, 0, 1, 2, 3], [-12, -15, -10, 0, 10, 15, 12, 9])
+        IdealizedBackbone([-3, -2, -1, 0, 1, 2, 3], [-12, -15, -10, 0, 10, 15, 12, 9])
 
 
 def test_geometry_rejects_non_positive_stiffness():
@@ -88,19 +83,19 @@ def test_geometry_rejects_non_positive_stiffness():
         [-12, -15, 0.0, 0, 10, 15, 12],  # zero negative yield force
     ):
         with pytest.raises(ValueError, match="elastic stiffness must be positive"):
-            BackboneGeometry(knots_d, knots_f)
+            IdealizedBackbone(knots_d, knots_f)
 
 
 def test_geometry_knots_are_read_only_float_arrays(symmetric_backbone):
-    g = build_geometry(symmetric_backbone)
-    for knots in (g.knots_d, g.knots_f):
+    g = symmetric_backbone
+    for knots in (g.displacement, g.load):
         assert knots.dtype == float and knots.shape == (7,)
         with pytest.raises(ValueError, match="read-only"):
             knots[0] = 0.0
 
 
 def test_envelope_interpolant_through_knots(symmetric_backbone):
-    g = build_geometry(symmetric_backbone)
+    g = symmetric_backbone
     loads = g.envelope_at(np.asarray(symmetric_backbone.displacement, dtype=float))
     assert loads.tolist() == list(symmetric_backbone.load)
 
@@ -112,8 +107,8 @@ def test_envelope_at_matches_envelope_bit_for_bit():
         knots_f = list(bb.load)
         if trial % 3 == 0:
             knots_f[3] = -0.0  # a signed-zero origin load
-        g = BackboneGeometry(bb.displacement, knots_f)
-        kd = np.array(g.knots_d)
+        g = IdealizedBackbone(bb.displacement, knots_f)
+        kd = np.array(g.displacement)
         points = np.concatenate(
             [
                 kd,
@@ -154,7 +149,7 @@ def test_unloading_line_geometric_oracle(symmetric_backbone):
     span of the branch."""
     alpha1 = 2.0
     params = PivotParams(alpha1, 3.0, 1.0, 1.0, 0.0)
-    g = build_geometry(symmetric_backbone)
+    g = symmetric_backbone
     hist = np.concatenate([np.linspace(0, 2, 41), np.linspace(2, 0, 41)[1:]])
     loads = simulate(symmetric_backbone, params, hist)
     start_d, start_f = 2.0, backbone_load_oracle(g, 2.0)
@@ -172,7 +167,7 @@ def test_virgin_reload_targets_yield_point(symmetric_backbone):
     """Past the zero crossing toward a never-yielded side the branch is
     the straight line to that side's yield point."""
     params = PivotParams(2.0, 2.0, 1.0, 1.0, 0.0)
-    g = build_geometry(symmetric_backbone)
+    g = symmetric_backbone
     hist = np.concatenate([np.linspace(0, 2, 41), np.linspace(2, -1.0, 61)[1:]])
     loads = simulate(symmetric_backbone, params, hist)
     f_start = backbone_load_oracle(g, 2.0)
@@ -189,8 +184,7 @@ def test_virgin_reload_targets_yield_point(symmetric_backbone):
 
 def test_sub_yield_closure(symmetric_backbone, asymmetric_backbone):
     rng = np.random.default_rng(2)
-    for bb in (symmetric_backbone, asymmetric_backbone):
-        g = build_geometry(bb)
+    for g in (symmetric_backbone, asymmetric_backbone):
         for _ in range(20):
             params = PivotParams(
                 rng.uniform(1, 100),
@@ -203,7 +197,7 @@ def test_sub_yield_closure(symmetric_backbone, asymmetric_backbone):
             pts = rng.uniform(0.95 * g.dy_neg, 0.95 * g.dy_pos, 12)
             pts[-1] = 0.0
             hist = np.concatenate([[0.0], pts])
-            loads = simulate(bb, params, hist)
+            loads = simulate(g, params, hist)
             expected = np.where(hist >= 0, g.k_pos * hist, g.k_neg * hist)
             np.testing.assert_allclose(loads, expected, rtol=0, atol=1e-12)
             assert loads[-1] == 0.0
@@ -295,7 +289,7 @@ def test_envelope_bound_random_histories(symmetric_backbone, asymmetric_backbone
 def test_branch_continuity(symmetric_backbone):
     """No jumps: on a fine grid the per-step load change is bounded by
     a global slope bound times the step."""
-    g = build_geometry(symmetric_backbone)
+    g = symmetric_backbone
     params = PivotParams(2.0, 9.0, 0.3, 0.8, 120.0)
     hist = triangle_protocol([2.7, -2.2, 1.8, -2.7, 2.4], pts=4000)
     loads = simulate(symmetric_backbone, params, hist)
@@ -315,13 +309,13 @@ def test_determinism(symmetric_backbone):
 
 
 def test_beyond_ultimate_clamps(symmetric_backbone):
-    g = build_geometry(symmetric_backbone)
+    g = symmetric_backbone
     loads = simulate(g, PivotParams(2, 2, 0.5, 0.5, 0), np.linspace(0, 4.0, 30))
-    assert loads[-1] == g.knots_f[6]  # terminal envelope value
+    assert loads[-1] == g.load[6]  # terminal envelope value
 
 
 def test_engine_rejects_non_finite_displacement(symmetric_backbone):
-    g = build_geometry(symmetric_backbone)
+    g = symmetric_backbone
     params = PivotParams(2, 2, 0.5, 0.5, 0)
     for bad in (np.nan, np.inf, -np.inf):
         hist = np.array([0.0, 0.5, bad, 1.0])
@@ -358,7 +352,7 @@ def random_history(rng, g, kind):
         amps = np.repeat(rng.uniform(0.3, 3.2, 3), 2) * np.tile([1, -1], 3)
         return triangle_protocol(amps, pts=int(rng.integers(2, 25)))
     # knots, yield points and signed zeros, with repeats
-    pool = [*g.knots_d, 0.0, -0.0, 0.5 * g.dy_pos, 0.5 * g.dy_neg, 2.5, -2.5]
+    pool = [*g.displacement, 0.0, -0.0, 0.5 * g.dy_pos, 0.5 * g.dy_neg, 2.5, -2.5]
     return rng.choice(pool, 50)
 
 
@@ -381,7 +375,7 @@ def with_event_points(g, params, hist):
 
 
 def test_simulate_bit_identical_to_step_oracle(symmetric_backbone, asymmetric_backbone):
-    g = build_geometry(symmetric_backbone)
+    g = symmetric_backbone
     params = PivotParams(3, 3, 0.5, 0.5, 50)
     for hist in ([], [-0.0], [0.0, -0.0, 0.5, 0.5, -0.0, 0.0], [2.5, 2.5, -0.0, 0.0]):
         expected = step_simulate_oracle(g, params, hist).tobytes()
@@ -389,8 +383,7 @@ def test_simulate_bit_identical_to_step_oracle(symmetric_backbone, asymmetric_ba
     rng = np.random.default_rng(31)
     events = 0
     for trial in range(450):
-        bb = (symmetric_backbone, asymmetric_backbone, random_backbone(rng))[trial % 3]
-        g = build_geometry(bb)
+        g = (symmetric_backbone, asymmetric_backbone, random_backbone(rng))[trial % 3]
         params = random_params(rng)
         hist = random_history(rng, g, trial // 3 % 3)
         dense = with_event_points(g, params, hist)
@@ -399,7 +392,6 @@ def test_simulate_bit_identical_to_step_oracle(symmetric_backbone, asymmetric_ba
             # tobytes also tells 0.0 from -0.0
             expected = step_simulate_oracle(g, params, h).tobytes()
             assert simulate(g, params, h).tobytes() == expected
-            assert simulate(bb, params, h).tobytes() == expected
     assert events > 450  # the event-point samples were exercised
 
 
@@ -422,8 +414,7 @@ def test_simulate_matches_oracle_where_events_land_on_samples(
 ):
     rng = np.random.default_rng(37)
     for trial in range(300):
-        bb = (symmetric_backbone, asymmetric_backbone, random_backbone(rng))[trial % 3]
-        g = build_geometry(bb)
+        g = (symmetric_backbone, asymmetric_backbone, random_backbone(rng))[trial % 3]
         params = random_params(rng)
         hist = repeated_cycle_history(rng, g)
         for h in (hist, with_event_points(g, params, hist), -hist):
@@ -434,7 +425,7 @@ def test_simulate_matches_oracle_where_events_land_on_samples(
     # pivot (-alpha1, -10 alpha1) on the elastic line, so it crosses zero
     # at exactly 0.0: the event that starts the reload toward the
     # never-yielded side sits at 0.0.
-    g = build_geometry(symmetric_backbone)
+    g = symmetric_backbone
     for alpha in (1.0, 2.0, 3.0, 7.5):
         assert 0.5 - 5.0 / ((-10.0 * alpha - 5.0) / (-alpha - 0.5)) == 0.0
         params = PivotParams(alpha, alpha, 0.5, 0.5, 50)
@@ -481,10 +472,9 @@ def test_simulate_matches_oracle_on_ulp_growth_and_repeated_knots(
     repeats = 0
     for trial in range(300):
         if trial % 2:
-            bb = backbone_with_repeated_knots(rng)
+            g = backbone_with_repeated_knots(rng)
         else:
-            bb = (symmetric_backbone, asymmetric_backbone, random_backbone(rng))[trial // 2 % 3]
-        g = build_geometry(bb)
+            g = (symmetric_backbone, asymmetric_backbone, random_backbone(rng))[trial // 2 % 3]
         repeats += g.f_dy_neg != g.fy_neg
         params = random_params(rng)
         if trial % 4 < 2:
@@ -524,10 +514,9 @@ def test_elastic_prefix_matches_step_oracle(symmetric_backbone, asymmetric_backb
     rng = np.random.default_rng(36)
     for trial in range(600):
         if trial % 3 == 2:
-            bb = backbone_with_repeated_knots(rng)
+            g = backbone_with_repeated_knots(rng)
         else:
-            bb = (symmetric_backbone, asymmetric_backbone)[trial % 3]
-        g = build_geometry(bb)
+            g = (symmetric_backbone, asymmetric_backbone)[trial % 3]
         params = random_params(rng)
         hist, n0 = prefix_history(rng, g, trial // 3 % 4)
         history = History(g, hist)
@@ -554,8 +543,7 @@ def refine(hist, k):
 def test_response_independent_of_step_size(symmetric_backbone, asymmetric_backbone):
     rng = np.random.default_rng(32)
     for trial in range(300):
-        bb = (symmetric_backbone, asymmetric_backbone, random_backbone(rng))[trial % 3]
-        g = build_geometry(bb)
+        g = (symmetric_backbone, asymmetric_backbone, random_backbone(rng))[trial % 3]
         params = random_params(rng)
         if trial // 3 % 2:
             hist = np.cumsum(rng.normal(0, 0.5, 60))
@@ -569,7 +557,7 @@ def test_response_independent_of_step_size(symmetric_backbone, asymmetric_backbo
 
 
 def test_history_facts_follow_the_bytes(symmetric_backbone):
-    g = build_geometry(symmetric_backbone)
+    g = symmetric_backbone
     params = PivotParams(3, 3, 0.5, 0.5, 50)
     hist = triangle_protocol([2.5, -2.5, 2.5], pts=40)
     first = simulate(g, params, hist)
@@ -581,7 +569,7 @@ def test_history_facts_follow_the_bytes(symmetric_backbone):
 
 
 def test_history_is_an_immutable_value(symmetric_backbone):
-    g = build_geometry(symmetric_backbone)
+    g = symmetric_backbone
     params = PivotParams(3, 3, 0.5, 0.5, 50)
     hist = triangle_protocol([2.5, -2.5, 2.5], pts=40)
     hist[5] = hist[4]  # a repeated sample
@@ -597,22 +585,27 @@ def test_history_is_an_immutable_value(symmetric_backbone):
 
 
 def test_history_survives_a_pickle_round_trip(asymmetric_backbone):
-    g = build_geometry(asymmetric_backbone)
+    g = asymmetric_backbone
     params = PivotParams(3, 7, 0.5, 0.2, 50)
     hist = triangle_protocol([2.5, -2.5, 0.3, -3.0, 4.0], pts=30)
     expected = simulate(g, params, hist).tobytes()
-    # a pool worker receives the geometry and the history in one pickle
+    # a pool worker receives the backbone and the history in one pickle
     g2, history = pickle.loads(pickle.dumps((g, History(g, hist))))
-    assert history.geometry is g2
+    assert history.backbone is g2
     assert simulate(g2, params, history).tobytes() == expected
+    # the round trip keeps the arrays read-only
+    arrays = (history.xs, history.envelope, history.keys, history.elastic)
+    for array in (*arrays, g2.displacement, g2.load):
+        assert not array.flags.writeable
 
 
 def test_simulate_rejects_a_history_of_another_geometry(symmetric_backbone):
     params = PivotParams(3, 3, 0.5, 0.5, 50)
-    history = History(build_geometry(symmetric_backbone), [0.0, 1.5, -1.0])
-    for backbone in (build_geometry(symmetric_backbone), symmetric_backbone):
-        with pytest.raises(ValueError, match="another backbone geometry"):
-            simulate(backbone, params, history)
+    history = History(symmetric_backbone, [0.0, 1.5, -1.0])
+    # equal points, but another object
+    other = IdealizedBackbone(symmetric_backbone.displacement, symmetric_backbone.load)
+    with pytest.raises(ValueError, match="another backbone geometry"):
+        simulate(other, params, history)
 
 
 def run_facts_history(rng, g, kind):
@@ -621,7 +614,7 @@ def run_facts_history(rng, g, kind):
         hist[rng.random(60) < 0.1] = -0.0
         return hist
     if kind == 1:  # knots, yield points and signed zeros, with repeats
-        pool = [*g.knots_d, 0.0, -0.0, 0.5 * g.dy_pos, 0.5 * g.dy_neg]
+        pool = [*g.displacement, 0.0, -0.0, 0.5 * g.dy_pos, 0.5 * g.dy_neg]
         return rng.choice(pool, int(rng.integers(1, 50)))
     if kind == 2:  # inside the yield displacements: no run past the prefix
         return rng.uniform(g.dy_neg, g.dy_pos, int(rng.integers(1, 30)))
@@ -634,8 +627,7 @@ def test_history_runs_hold_the_samples_past_the_prefix(symmetric_backbone):
     rng = np.random.default_rng(38)
     no_runs = 0
     for trial in range(500):
-        bb = symmetric_backbone if trial % 2 else random_backbone(rng)
-        g = build_geometry(bb)
+        g = symmetric_backbone if trial % 2 else random_backbone(rng)
         history = History(g, run_facts_history(rng, g, trial // 2 % 4))
         xs, n0 = history.xs, history.n0
         steps = xs - np.concatenate(([0.0], xs[:-1]))
