@@ -26,7 +26,7 @@ from pivotfit.resample import sign_flips
 YIELD_FRACTION = 0.65
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvelopeCurve:
     """Backbone points sorted strictly ascending by displacement."""
 
@@ -44,7 +44,7 @@ class EnvelopeCurve:
         return self.displacement.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdealizedBackbone:
     """Exactly 7 (displacement, load) points; point 4 is the origin.
 
@@ -58,6 +58,8 @@ class IdealizedBackbone:
     elastic stiffnesses (``k_pos``, ``k_neg``), envelope loads at the
     yield points (``f_dy_*``) and ``envelope_at``. Its points are its
     own read-only float copies, so a caller's arrays are never aliased.
+    It compares and hashes by identity, as ``simulate`` matches a
+    ``History`` to its backbone.
     """
 
     displacement: np.ndarray
@@ -219,19 +221,11 @@ def idealize(env: EnvelopeCurve) -> IdealizedBackbone:
     if f_max <= 0 or f_min >= 0:
         raise ValueError("envelope must contain both positive and negative loads")
 
-    # Elastic-limit points: first threshold crossing per side.
-    pos_threshold = YIELD_FRACTION * f_max
-    i_yield_pos = None
-    for i in range(d.shape[0]):  # ascending displacement
-        if f[i] > pos_threshold:
-            i_yield_pos = i
-            break
-    neg_threshold = YIELD_FRACTION * f_min
-    i_yield_neg = None
-    for i in range(d.shape[0] - 1, -1, -1):  # descending displacement
-        if f[i] < neg_threshold:
-            i_yield_neg = i
-            break
+    # Elastic-limit points: first threshold crossing per side, scanning
+    # ascending displacement on the positive side, descending on the
+    # negative one.
+    i_yield_pos = int(np.argmax(f > YIELD_FRACTION * f_max))
+    i_yield_neg = len(f) - 1 - int(np.argmax(f[::-1] < YIELD_FRACTION * f_min))
     out_d[4], out_f[4] = d[i_yield_pos], f[i_yield_pos]
     out_d[2], out_f[2] = d[i_yield_neg], f[i_yield_neg]
 

@@ -404,8 +404,10 @@ def main(argv=None) -> int:
     warnings.simplefilter("default")
     try:
         cfg = resolve_config(args)
+        if cfg.precision < 1:  # checked before any stage writes a file
+            raise ValueError(f"precision must be at least 1, got {cfg.precision}")
         if args.command in ("fit", "pipeline"):
-            cfg.ga_config().validate()  # before any stage writes a file
+            cfg.ga_config().validate()
         manifest = _manifest(cfg, args.command)  # of the input as read
         os.makedirs(cfg.outdir, exist_ok=True)
         # an earlier command's manifest would describe this run's outputs

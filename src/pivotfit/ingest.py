@@ -62,7 +62,7 @@ class ValidationError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalPair:
     """Paired displacement/load histories.
 
@@ -308,12 +308,14 @@ def write_columns(path, header, columns, delimiter=",", precision=OUTPUT_PRECISI
     """Write parallel numeric columns with a one-line header.
 
     Raises ValueError, before the file is opened, if the columns differ
-    in length.
+    in length or precision is below 1.
     """
     columns = [np.asarray(c) for c in columns]
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise ValueError(f"columns differ in length: {lengths}")
+    if precision < 1:
+        raise ValueError(f"precision must be at least 1, got {precision}")
     # '%' with an explicit '.pg' formats a value as format() does
     sep = delimiter.replace("%", "%%")
     row = sep.join([f"%.{precision}g"] * len(columns)) + "\n"

@@ -5,7 +5,9 @@ between the simulated and the experimental load response on the shared
 resampled displacement grid. The GA is real-coded and generational:
 uniform initialization within bounds, tournament selection, blend
 crossover, per-gene Gaussian mutation clamped to bounds, elitism, and an
-early stop after a configurable number of stalled generations.
+early stop after a configurable number of stalled generations. The
+bounds lie within the ranges ``PivotParams`` admits, and a candidate the
+engine cannot run stops the fit with a ``FitError`` that names it.
 
 All random draws of a generation are made from the master generator
 before any fitness evaluation is dispatched, so results are bit-identical
@@ -49,15 +51,13 @@ class ParamBounds:
 
     def validate(self):
         lo, hi = self.lower(), self.upper()
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ValueError("parameter bounds must be finite")
+        try:  # a box is admissible when both of its corners are
+            PivotParams.from_array(lo), PivotParams.from_array(hi)
+        except ValueError as exc:
+            raise ValueError(f"bounds exceed the admissible parameter ranges: {exc}")
         if np.any(lo > hi):
             bad = PARAM_NAMES[int(np.argmax(lo > hi))]
             raise ValueError(f"lower bound exceeds upper bound for {bad}")
-        hard_lo = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
-        hard_hi = np.array([np.inf, np.inf, 1.0, 1.0, np.inf])
-        if np.any(lo < hard_lo) or np.any(hi > hard_hi):
-            raise ValueError("bounds exceed the admissible parameter ranges")
 
     def replace(self, name: str, lo: float, hi: float) -> "ParamBounds":
         if name not in PARAM_NAMES:
@@ -101,6 +101,9 @@ class GAConfig:
             raise ValueError("stall_generations must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
+        seed = self.rng_seed  # an integer default_rng accepts: bool is not one
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError("rng_seed must be a non-negative integer")
         self.bounds.validate()
 
 
@@ -160,12 +163,15 @@ def evaluate(params: PivotParams, backbone, resampled: SignalPair) -> float:
 
 def _score_genes(history: History, load, genes) -> float:
     """Score of one gene vector against the load record of a prepared
-    history; inf where the candidate cannot run."""
+    history. A candidate the engine cannot run stops the fit."""
+    params = PivotParams.from_array(genes)
     try:
-        response = simulate(history.backbone, PivotParams.from_array(genes), history)
-        return deviation_score(response, load)
-    except (ValueError, ZeroDivisionError):
-        return float("inf")
+        response = simulate(history.backbone, params, history)
+    except ZeroDivisionError as exc:
+        raise FitError(
+            f"the engine cannot simulate {params}: a degraded elastic slope underflows to 0"
+        ) from exc
+    return deviation_score(response, load)
 
 
 # Pool workers receive the bound scorer once, through the initializer, so it
@@ -188,15 +194,9 @@ def _eval_worker(genes):
 
 def _evaluate_population(genes, score, pool, workers):
     if pool is None:
-        scores = _score_all(score, genes)
-    else:
-        # one contiguous slice of the population per worker
-        scores = np.concatenate(
-            list(pool.map(_eval_worker, np.array_split(genes, workers)))
-        )
-    if not np.isfinite(scores).any():
-        raise FitError("every individual of a generation failed to evaluate")
-    return scores
+        return _score_all(score, genes)
+    # one contiguous slice of the population per worker
+    return np.concatenate(list(pool.map(_eval_worker, np.array_split(genes, workers))))
 
 
 def _breed(rng, genes, scores, config: GAConfig, lo, hi):
@@ -242,17 +242,18 @@ def fit(
     Fully reproducible from ``config.rng_seed``, independent of
     ``config.workers``. ``on_generation(generation, history)`` is called
     after each generation is recorded. A record the engine cannot run
-    raises one FitError before any genome is scored.
+    raises one FitError before any genome is scored, and the first
+    candidate in population order it cannot run raises one naming it.
     """
     if config is None:
         config = GAConfig()
     config.validate()
     try:
         validate(resampled)
-        history = History(backbone, resampled.displacement)
+        prepared = History(backbone, resampled.displacement)
     except ValueError as exc:
         raise FitError(f"the record cannot be simulated: {exc}") from exc
-    score = partial(_score_genes, history, resampled.load)
+    score = partial(_score_genes, prepared, resampled.load)
 
     lo = config.bounds.lower()
     hi = config.bounds.upper()
@@ -288,8 +289,7 @@ def fit(
                 stall = 0
             else:
                 stall += 1
-            finite = scores[np.isfinite(scores)]
-            history.append(best_score, finite.mean(), best_genes)
+            history.append(best_score, scores.mean(), best_genes)
             if on_generation is not None:
                 on_generation(generation, history)
 

@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -203,6 +204,18 @@ def test_idealized_backbone_rejects_non_finite_knot(bad):
         IdealizedBackbone([-3, -2, bad, 0, 1, 2, 3], [-12, -15, -10, 0, 10, 15, 12])
     with pytest.raises(ValueError, match="finite"):
         IdealizedBackbone([-3, -2, -1, 0, 1, 2, 3], [-12, -15, -10, 0, 10, 15, bad])
+
+
+def test_array_records_compare_and_hash_by_identity():
+    d = [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+    f = [-12.0, -15.0, -10.0, 0.0, 10.0, 15.0, 12.0]
+    for make in (IdealizedBackbone, EnvelopeCurve, SignalPair):
+        a, b = make(d, f), make(d, f)
+        assert (a == b) is False and a != b and a == a
+        assert {a: 1}[a] == 1 and b not in {a: 1}
+    bb = pickle.loads(pickle.dumps(IdealizedBackbone(d, f)))
+    for points in (bb.displacement, bb.load):
+        assert not points.flags.writeable
 
 
 def test_idealized_backbone_owns_its_points():

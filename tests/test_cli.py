@@ -313,12 +313,29 @@ def test_config_file_value_types_checked(workdir, capsys, key, value):
         ["--workers", "0"],
         ["--bounds", "alpha1=50:1"],
         ["--bounds", "alpha1=nan:5"],
+        ["--seed", "-1"],
     ],
 )
 def test_ga_settings_checked_before_any_stage(workdir, capsys, command, flags):
     tmp, raw, out, config = workdir
     assert main([command, "--config", str(config), *flags]) == 1
     assert capsys.readouterr().err.startswith("pivotfit: ")
+    assert not out.exists()  # rejected before any stage ran
+
+
+@pytest.mark.parametrize("command", ["resample", "backbone", "simulate", "fit", "pipeline"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("precision", [0, -1])
+def test_precision_checked_before_any_stage(workdir, capsys, command, source, precision):
+    tmp, raw, out, config = workdir
+    flags = ["--precision", str(precision)]
+    if source == "config":
+        values = json.loads(config.read_text())
+        config.write_text(json.dumps({**values, "precision": precision}))
+        flags = []
+    assert main([command, "--config", str(config), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err == f"pivotfit: precision must be at least 1, got {precision}\n"
     assert not out.exists()  # rejected before any stage ran
 
 

@@ -374,6 +374,14 @@ def test_write_columns_matches_per_value_oracle(tmp_path_factory, values, precis
     assert not (out / "unequal.csv").exists()
 
 
+@pytest.mark.parametrize("precision", [0, -1])
+def test_write_columns_rejects_precision_below_one(tmp_path, precision):
+    path = tmp_path / "p.csv"
+    with pytest.raises(ValueError, match=f"precision must be at least 1, got {precision}"):
+        write_columns(path, ["a"], [np.arange(3.0)], precision=precision)
+    assert not path.exists()
+
+
 B = ingest._WRITE_BLOCK_ROWS
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from pivotfit import (
     FitError,
     GAConfig,
+    IdealizedBackbone,
     ParamBounds,
     PivotParams,
     SignalPair,
@@ -15,6 +16,7 @@ from pivotfit import (
     simulate,
 )
 from pivotfit.optimize import _breed
+from conftest import uniform_grid_protocol
 from oracles import breed_loop_oracle, score_loop_oracle as loop_oracle
 
 
@@ -236,6 +238,44 @@ def test_fit_names_a_record_it_cannot_score(symmetric_backbone, load, message):
     config = GAConfig(population_size=4, max_generations=2)
     with pytest.raises(FitError, match=message):
         fit(bad, symmetric_backbone, config)
+
+
+@pytest.fixture(scope="module")
+def underflow_record():
+    """A backbone whose elastic slope is 1e-18: the hardening shape keeps
+    the secant above it, so on this history a degraded slope k / shrink
+    underflows to 0 for every eta of about 2.7e307 or more."""
+    backbone = IdealizedBackbone(
+        np.arange(-3.0, 4.0), np.array([-4, -3, -1, 0, 1, 3, 4]) * 1e-18
+    )
+    hist = uniform_grid_protocol([1.5, -1.5, 2.0, -2.0, 2.5, 0.0], step=0.1)
+    loads = simulate(backbone, PivotParams(5.0, 5.0, 0.5, 0.5, 10.0), hist)
+    return SignalPair(hist, loads), backbone
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fit_names_a_candidate_it_cannot_simulate(underflow_record, workers):
+    record, backbone = underflow_record
+    bounds = ParamBounds(eta=(0.0, 4e307))
+    config = GAConfig(population_size=20, max_generations=5, bounds=bounds, workers=workers)
+    # the first genome of the first generation, in population order, that
+    # the engine cannot run
+    lo, hi = bounds.lower(), bounds.upper()
+    genes = lo + np.random.default_rng(config.rng_seed).random((20, 5)) * (hi - lo)
+    failing = []
+    for g in genes:
+        try:
+            simulate(backbone, PivotParams.from_array(g), record.displacement)
+        except ZeroDivisionError:
+            failing.append(PivotParams.from_array(g))
+    assert failing, "the first generation holds a candidate the engine cannot run"
+    message = (
+        f"the engine cannot simulate {failing[0]}: "
+        "a degraded elastic slope underflows to 0"
+    )
+    with pytest.raises(FitError) as caught:
+        fit(record, backbone, config)
+    assert str(caught.value) == message
 
 
 def test_round_trip_recovery_quick(round_trip_record):
