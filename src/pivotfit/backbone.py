@@ -223,9 +223,13 @@ def idealize(env: EnvelopeCurve) -> IdealizedBackbone:
 
     # Elastic-limit points: first threshold crossing per side, scanning
     # ascending displacement on the positive side, descending on the
-    # negative one.
-    i_yield_pos = int(np.argmax(f > YIELD_FRACTION * f_max))
-    i_yield_neg = len(f) - 1 - int(np.argmax(f[::-1] < YIELD_FRACTION * f_min))
+    # negative one. A threshold that rounds to a tiny extreme load has none.
+    above, below = f > YIELD_FRACTION * f_max, f[::-1] < YIELD_FRACTION * f_min
+    for side, crossed in (("positive", above), ("negative", below)):
+        if not crossed.any():
+            raise ValueError(f"no {side}-side point exceeds 65% of its extreme load")
+    i_yield_pos = int(np.argmax(above))
+    i_yield_neg = len(f) - 1 - int(np.argmax(below))
     out_d[4], out_f[4] = d[i_yield_pos], f[i_yield_pos]
     out_d[2], out_f[2] = d[i_yield_neg], f[i_yield_neg]
 

@@ -68,15 +68,13 @@ class PipelineConfig:
     bounds: dict = field(default_factory=dict)  # name -> [lo, hi]
 
     def ga_config(self) -> GAConfig:
-        b = ParamBounds()
-        for name, (lo, hi) in self.bounds.items():
-            b = b.replace(name, float(lo), float(hi))
+        b = {name: (float(lo), float(hi)) for name, (lo, hi) in self.bounds.items()}
         return GAConfig(
             population_size=self.population,
             max_generations=self.generations,
             rng_seed=self.seed,
             workers=self.workers,
-            bounds=b,
+            bounds=ParamBounds(**b),
         )
 
     def path(self, filename: str) -> str:
@@ -401,44 +399,46 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse has printed the help, the version or a usage error
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
-    warnings.simplefilter("default")
-    try:
-        cfg = resolve_config(args)
-        if cfg.precision < 1:  # checked before any stage writes a file
-            raise ValueError(f"precision must be at least 1, got {cfg.precision}")
-        if args.command in ("fit", "pipeline"):
-            cfg.ga_config().validate()
-        manifest = _manifest(cfg, args.command)  # of the input as read
-        os.makedirs(cfg.outdir, exist_ok=True)
-        # an earlier command's manifest would describe this run's outputs
-        with suppress(FileNotFoundError):
-            os.remove(cfg.path("manifest.json"))
-        if args.command == "resample":
-            cmd_resample(cfg)
-        elif args.command == "backbone":
-            cmd_backbone(cfg)
-        elif args.command == "simulate":
-            cmd_simulate(cfg, params_path=getattr(args, "params", None))
-        elif args.command == "fit":
-            cmd_fit(cfg)
-        elif args.command == "pipeline":
-            cmd_pipeline(cfg)
-        # written last, so only a completed run leaves a manifest
-        with open(cfg.path("manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except KeyboardInterrupt:
-        print("interrupted; partial outputs flushed", file=sys.stderr)
-        return 130
-    except Exception as exc:
-        print(f"pivotfit: {exc}", file=sys.stderr)
-        cause = exc.original if isinstance(exc, _StageFailure) else exc
-        if isinstance(cause, FitError):
-            return EXIT_OPTIMIZATION
-        if isinstance(cause, OSError):
-            return EXIT_IO
-        return EXIT_VALIDATION
-    return EXIT_OK
+    # warnings print during the run; the caller gets its filters back
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        try:
+            cfg = resolve_config(args)
+            if cfg.precision < 1:  # checked before any stage writes a file
+                raise ValueError(f"precision must be at least 1, got {cfg.precision}")
+            if args.command in ("fit", "pipeline"):
+                cfg.ga_config().validate()
+            manifest = _manifest(cfg, args.command)  # of the input as read
+            os.makedirs(cfg.outdir, exist_ok=True)
+            # an earlier command's manifest would describe this run's outputs
+            with suppress(FileNotFoundError):
+                os.remove(cfg.path("manifest.json"))
+            if args.command == "resample":
+                cmd_resample(cfg)
+            elif args.command == "backbone":
+                cmd_backbone(cfg)
+            elif args.command == "simulate":
+                cmd_simulate(cfg, params_path=getattr(args, "params", None))
+            elif args.command == "fit":
+                cmd_fit(cfg)
+            elif args.command == "pipeline":
+                cmd_pipeline(cfg)
+            # written last, so only a completed run leaves a manifest
+            with open(cfg.path("manifest.json"), "w", encoding="utf-8") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except KeyboardInterrupt:
+            print("interrupted; partial outputs flushed", file=sys.stderr)
+            return 130
+        except Exception as exc:
+            print(f"pivotfit: {exc}", file=sys.stderr)
+            cause = exc.original if isinstance(exc, _StageFailure) else exc
+            if isinstance(cause, FitError):
+                return EXIT_OPTIMIZATION
+            if isinstance(cause, OSError):
+                return EXIT_IO
+            return EXIT_VALIDATION
+        return EXIT_OK
 
 
 def entrypoint():

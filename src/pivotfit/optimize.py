@@ -5,9 +5,10 @@ between the simulated and the experimental load response on the shared
 resampled displacement grid. The GA is real-coded and generational:
 uniform initialization within bounds, tournament selection, blend
 crossover, per-gene Gaussian mutation clamped to bounds, elitism, and an
-early stop after a configurable number of stalled generations. The
-bounds lie within the ranges ``PivotParams`` admits, and a candidate the
-engine cannot run stops the fit with a ``FitError`` that names it.
+early stop after ``STALL_GENERATIONS`` generations without improvement,
+with the fixed operator settings below. The bounds lie within the ranges
+``PivotParams`` admits, and a candidate the engine cannot run stops the
+fit with a ``FitError`` that names it.
 
 All random draws of a generation are made from the master generator
 before any fitness evaluation is dispatched, so results are bit-identical
@@ -23,6 +24,16 @@ import numpy as np
 
 from pivotfit.ingest import SignalPair, validate
 from pivotfit.pivot import PARAM_NAMES, History, PivotParams, simulate
+
+
+# Fixed GA operator settings.
+CROSSOVER_PROBABILITY = 0.9
+BLEND_ALPHA = 0.5  # widens the parents' interval by this fraction on each side
+MUTATION_PROBABILITY = 0.1
+MUTATION_SCALE = 0.1  # std as a fraction of each parameter range
+TOURNAMENT_SIZE = 3
+ELITE_COUNT = 2
+STALL_GENERATIONS = 50
 
 
 class FitError(RuntimeError):
@@ -58,51 +69,37 @@ class ParamBounds:
         if np.any(lo > hi):
             bad = PARAM_NAMES[int(np.argmax(lo > hi))]
             raise ValueError(f"lower bound exceeds upper bound for {bad}")
-
-    def replace(self, name: str, lo: float, hi: float) -> "ParamBounds":
-        if name not in PARAM_NAMES:
-            raise ValueError(f"unknown parameter {name!r}")
-        kwargs = {n: getattr(self, n) for n in PARAM_NAMES}
-        kwargs[name] = (lo, hi)
-        return ParamBounds(**kwargs)
+        # a blend child lands up to BLEND_ALPHA ranges past hi and a mutation
+        # moves it a few tenths of a range more: leave room for both
+        with np.errstate(over="ignore"):
+            reach_ok = np.isfinite(hi + (1 + 2 * BLEND_ALPHA) * (hi - lo))
+        if not reach_ok.all():
+            bad = PARAM_NAMES[int(np.argmin(reach_ok))]
+            raise ValueError(f"the range of {bad} is too wide for the blend crossover")
 
 
 @dataclass(frozen=True)
 class GAConfig:
-    """Genetic algorithm settings; all values exposed, sane defaults."""
+    """The GA settings a caller sets; the operator settings are constants."""
 
     population_size: int = 50
     max_generations: int = 300
-    crossover_probability: float = 0.9
-    crossover_blend_alpha: float = 0.5
-    mutation_probability: float = 0.1
-    mutation_scale: float = 0.1  # std as a fraction of each parameter range
-    tournament_size: int = 3
-    elite_count: int = 2
-    stall_generations: int = 50
     bounds: ParamBounds = field(default_factory=ParamBounds)
     rng_seed: int = 0
     workers: int = 1
 
     def validate(self):
-        if self.population_size < 1 or self.max_generations < 1:
-            raise ValueError("population_size and max_generations must be positive")
-        if not (0.0 <= self.crossover_probability <= 1.0):
-            raise ValueError("crossover_probability must be within [0, 1]")
-        if not (0.0 <= self.mutation_probability <= 1.0):
-            raise ValueError("mutation_probability must be within [0, 1]")
-        if self.mutation_scale <= 0:
-            raise ValueError("mutation_scale must be positive")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be positive")
-        if not (0 <= self.elite_count < self.population_size):
-            raise ValueError("elite_count must be non-negative and below population_size")
-        if self.stall_generations < 1:
-            raise ValueError("stall_generations must be positive")
+        for name in ("population_size", "max_generations", "rng_seed", "workers"):
+            value = getattr(self, name)  # bool is an int, but not a count or a seed
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.population_size <= ELITE_COUNT:
+            raise ValueError(f"population_size must exceed the {ELITE_COUNT} elites")
+        if self.max_generations < 1:
+            raise ValueError("max_generations must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        seed = self.rng_seed  # an integer default_rng accepts: bool is not one
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        if self.rng_seed < 0:
             raise ValueError("rng_seed must be a non-negative integer")
         self.bounds.validate()
 
@@ -199,31 +196,28 @@ def _evaluate_population(genes, score, pool, workers):
     return np.concatenate(list(pool.map(_eval_worker, np.array_split(genes, workers))))
 
 
-def _breed(rng, genes, scores, config: GAConfig, lo, hi):
+def _breed(rng, genes, scores, lo, hi):
     """The next generation: the elites, then children bred in one array
     pass by tournament selection, blend crossover and Gaussian mutation,
     clipped to [lo, hi]."""
     pop_n, n_genes = genes.shape
     # Draw every random decision for the next generation up front so
     # evaluation order cannot affect the stream.
-    n_children = pop_n - config.elite_count
-    tourney = rng.integers(0, pop_n, size=(n_children, 2, config.tournament_size))
-    do_cx = rng.random(n_children) < config.crossover_probability
+    n_children = pop_n - ELITE_COUNT
+    tourney = rng.integers(0, pop_n, size=(n_children, 2, TOURNAMENT_SIZE))
+    do_cx = rng.random(n_children) < CROSSOVER_PROBABILITY
     blend_u = rng.random((n_children, n_genes))
-    do_mut = rng.random((n_children, n_genes)) < config.mutation_probability
-    mut_step = rng.standard_normal((n_children, n_genes)) * (
-        config.mutation_scale * (hi - lo)
-    )
+    do_mut = rng.random((n_children, n_genes)) < MUTATION_PROBABILITY
+    mut_step = rng.standard_normal((n_children, n_genes)) * (MUTATION_SCALE * (hi - lo))
 
-    elite_idx = np.argsort(scores, kind="stable")[: config.elite_count]
+    elite_idx = np.argsort(scores, kind="stable")[:ELITE_COUNT]
     # the first best of each tournament is a parent
     won = np.argmin(scores[tourney], axis=2)[..., None]
     parents = np.take_along_axis(tourney, won, axis=2)[..., 0]
     p1, p2 = genes[parents[:, 0]], genes[parents[:, 1]]
     g_lo = np.minimum(p1, p2)
     width = np.maximum(p1, p2) - g_lo
-    a = config.crossover_blend_alpha
-    blend = (g_lo - a * width) + blend_u * (1 + 2 * a) * width
+    blend = (g_lo - BLEND_ALPHA * width) + blend_u * (1 + 2 * BLEND_ALPHA) * width
     children = np.where(do_cx[:, None], blend, p1)
     children = np.where(do_mut, children + mut_step, children)
     return np.concatenate((genes[elite_idx], np.clip(children, lo, hi)))
@@ -293,10 +287,10 @@ def fit(
             if on_generation is not None:
                 on_generation(generation, history)
 
-            if generation == config.max_generations or stall >= config.stall_generations:
+            if generation == config.max_generations or stall >= STALL_GENERATIONS:
                 break
 
-            genes = _breed(rng, genes, scores, config, lo, hi)
+            genes = _breed(rng, genes, scores, lo, hi)
     finally:
         if pool is not None:
             pool.shutdown()

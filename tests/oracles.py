@@ -9,6 +9,14 @@ import math
 import numpy as np
 
 from pivotfit.ingest import ParseError, SignalPair, format_number, validate
+from pivotfit.optimize import (
+    BLEND_ALPHA,
+    CROSSOVER_PROBABILITY,
+    ELITE_COUNT,
+    MUTATION_PROBABILITY,
+    MUTATION_SCALE,
+    TOURNAMENT_SIZE,
+)
 from pivotfit.pivot import PivotParams
 
 
@@ -173,23 +181,21 @@ def envelope_oracle(disp, load):
     return out
 
 
-def breed_loop_oracle(rng, genes, scores, config, lo, hi):
+def breed_loop_oracle(rng, genes, scores, lo, hi):
     """The next GA generation bred one child at a time; the reference
     that the one-pass ``optimize._breed`` must match bit for bit."""
     pop_n, n_genes = genes.shape
     span = hi - lo
-    n_children = pop_n - config.elite_count
-    tourney = rng.integers(0, pop_n, size=(n_children, 2, config.tournament_size))
-    do_cx = rng.random(n_children) < config.crossover_probability
+    n_children = pop_n - ELITE_COUNT
+    tourney = rng.integers(0, pop_n, size=(n_children, 2, TOURNAMENT_SIZE))
+    do_cx = rng.random(n_children) < CROSSOVER_PROBABILITY
     blend_u = rng.random((n_children, n_genes))
-    do_mut = rng.random((n_children, n_genes)) < config.mutation_probability
-    mut_step = rng.standard_normal((n_children, n_genes)) * (
-        config.mutation_scale * span
-    )
+    do_mut = rng.random((n_children, n_genes)) < MUTATION_PROBABILITY
+    mut_step = rng.standard_normal((n_children, n_genes)) * (MUTATION_SCALE * span)
 
-    elite_idx = np.argsort(scores, kind="stable")[: config.elite_count]
+    elite_idx = np.argsort(scores, kind="stable")[:ELITE_COUNT]
     next_genes = np.empty_like(genes)
-    next_genes[: config.elite_count] = genes[elite_idx]
+    next_genes[:ELITE_COUNT] = genes[elite_idx]
 
     for c in range(n_children):
         p1 = genes[tourney[c, 0][np.argmin(scores[tourney[c, 0]])]]
@@ -198,12 +204,12 @@ def breed_loop_oracle(rng, genes, scores, config, lo, hi):
             g_lo = np.minimum(p1, p2)
             g_hi = np.maximum(p1, p2)
             width = g_hi - g_lo
-            a = config.crossover_blend_alpha
+            a = BLEND_ALPHA
             child = (g_lo - a * width) + blend_u[c] * (1 + 2 * a) * width
         else:
             child = p1.copy()
         child = np.where(do_mut[c], child + mut_step[c], child)
-        next_genes[config.elite_count + c] = np.clip(child, lo, hi)
+        next_genes[ELITE_COUNT + c] = np.clip(child, lo, hi)
     return next_genes
 
 

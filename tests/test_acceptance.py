@@ -315,10 +315,8 @@ def test_c11_one_parameter_grid_search_equivalence(round_trip_record):
             s = deviation_score(response, record.load)
             if s < best_score:
                 best_score, best_grid = s, v
-        bounds = defaults
-        for j, other in enumerate(PARAM_NAMES):
-            if j != i:
-                bounds = bounds.replace(other, tv[j], tv[j])
+        fixed = {other: (tv[j], tv[j]) for j, other in enumerate(PARAM_NAMES) if j != i}
+        bounds = ParamBounds(**fixed)
         ga_best, _ = fit(record, backbone, GAConfig(rng_seed=7, bounds=bounds))
         ga_value = getattr(ga_best, name)
         elapsed = time.perf_counter() - start

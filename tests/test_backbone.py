@@ -153,6 +153,19 @@ def test_idealize_requires_three_points_per_side():
         idealize(env)
 
 
+@pytest.mark.parametrize("side", ["positive", "negative"])
+def test_idealize_names_a_side_without_an_elastic_limit_point(side):
+    # 0.65 * 5e-324 rounds to 5e-324, so no load exceeds 65% of the extreme
+    d = np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])
+    f = np.array([-10.0, -12.0, -8.0, 5e-324, 5e-324, 5e-324])
+    if side == "negative":
+        d, f = -d[::-1], -f[::-1]
+    with pytest.raises(
+        ValueError, match=f"no {side}-side point exceeds 65% of its extreme load"
+    ):
+        idealize(EnvelopeCurve(d, f))
+
+
 def test_idealize_invariants_on_randomized_envelopes():
     rng = np.random.default_rng(5)
     checked = 0

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -321,6 +322,30 @@ def test_ga_settings_checked_before_any_stage(workdir, capsys, command, flags):
     assert main([command, "--config", str(config), *flags]) == 1
     assert capsys.readouterr().err.startswith("pivotfit: ")
     assert not out.exists()  # rejected before any stage ran
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--bounds", "eta=0:1.7e308"], "the range of eta is too wide"),
+        (["--population", "2"], "population_size must exceed the 2 elites"),
+    ],
+    ids=["blend_overflow", "population_2"],
+)
+def test_ga_setting_errors_name_the_setting(workdir, capsys, flags, message):
+    tmp, raw, out, config = workdir
+    assert main(["pipeline", "--config", str(config), *flags]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()  # rejected before any stage ran
+
+
+def test_main_gives_the_caller_its_warning_filters_back(workdir):
+    tmp, raw, out, config = workdir
+    before = list(warnings.filters)
+    assert main(["resample", "--config", str(config)]) == 0
+    assert warnings.filters == before
+    assert main(["resample", "--input", str(tmp / "missing.csv")]) == 2
+    assert warnings.filters == before
 
 
 @pytest.mark.parametrize("command", ["resample", "backbone", "simulate", "fit", "pipeline"])

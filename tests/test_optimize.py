@@ -55,29 +55,9 @@ def test_score_matches_loop_oracle_exactly(values):
     assert deviation_score(a, b) == loop_oracle(a.tolist(), b.tolist())
 
 
-@pytest.mark.parametrize(
-    "pop, elite, tournament, cx, mut, blend",
-    [
-        (50, 2, 3, 0.9, 0.1, 0.5),  # the defaults
-        (50, 0, 3, 0.9, 0.1, 0.3),
-        (50, 49, 3, 0.9, 0.1, 0.3),
-        (12, 2, 1, 0.9, 0.1, 0.0),
-        (5, 1, 9, 0.5, 0.5, 0.3),  # tournaments larger than the population
-        (1, 0, 2, 1.0, 1.0, 0.3),
-        (8, 3, 2, 0.0, 0.0, 0.3),
-    ],
-)
-def test_breed_matches_loop_oracle(pop, elite, tournament, cx, mut, blend):
+@pytest.mark.parametrize("pop", [3, 5, 8, 12, 50])
+def test_breed_matches_loop_oracle(pop):
     bounds = ParamBounds(beta2=(0.3, 0.3))  # one gene with an empty range
-    config = GAConfig(
-        population_size=pop,
-        elite_count=elite,
-        tournament_size=tournament,
-        crossover_probability=cx,
-        mutation_probability=mut,
-        crossover_blend_alpha=blend,
-        bounds=bounds,
-    )
     lo, hi = bounds.lower(), bounds.upper()
     for seed in range(40):
         rng = np.random.default_rng(seed)
@@ -87,8 +67,8 @@ def test_breed_matches_loop_oracle(pop, elite, tournament, cx, mut, blend):
         scores[rng.random(pop) < 0.2] = np.inf
         scores[rng.random(pop) < 0.05] = np.nan
         bred, looped = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _breed(bred, genes, scores, config, lo, hi)
-        expected = breed_loop_oracle(looped, genes, scores, config, lo, hi)
+        got = _breed(bred, genes, scores, lo, hi)
+        expected = breed_loop_oracle(looped, genes, scores, lo, hi)
         assert got.tobytes() == expected.tobytes()
         assert bred.random() == looped.random()  # the same draws were made
 
@@ -118,20 +98,51 @@ def test_config_validation():
     GAConfig().validate()
     with pytest.raises(ValueError):
         GAConfig(population_size=0).validate()
-    with pytest.raises(ValueError):
-        GAConfig(elite_count=50, population_size=50).validate()
-    with pytest.raises(ValueError):
-        GAConfig(crossover_probability=1.5).validate()
+    with pytest.raises(ValueError, match="population_size must exceed the 2 elites"):
+        GAConfig(population_size=2).validate()
     with pytest.raises(ValueError):
         GAConfig(bounds=ParamBounds(alpha1=(0.5, 10))).validate()
     with pytest.raises(ValueError):
         GAConfig(bounds=ParamBounds(beta1=(0.8, 0.2))).validate()
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("population_size", 6.0),
+        ("max_generations", 2.5),
+        ("workers", 1.5),
+        ("workers", True),
+    ],
+)
+def test_config_integer_settings_must_be_integers(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+        GAConfig(**{name: value}).validate()
+
+
+@pytest.mark.parametrize(
+    "eta",
+    [(0.0, 1.7e308), (8e307, 1.7e308)],
+    ids=["width_overflows", "blend_sum_overflows"],
+)
+def test_bounds_whose_blend_crossover_overflows_are_rejected(eta):
+    with pytest.raises(ValueError, match="the range of eta is too wide"):
+        ParamBounds(eta=eta).validate()
+
+
+def test_wide_admitted_bounds_breed_without_overflow():
+    bounds = ParamBounds(eta=(0.0, 4e307))  # the box of the underflow fit below
+    bounds.validate()
+    lo, hi = bounds.lower(), bounds.upper()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        genes = lo + rng.random((50, 5)) * (hi - lo)
+        with np.errstate(over="raise"):
+            _breed(rng, genes, rng.random(50), lo, hi)
+
+
 def small_fit(record, backbone, **kwargs):
-    defaults = dict(
-        population_size=20, max_generations=25, stall_generations=25, rng_seed=3
-    )
+    defaults = dict(population_size=20, max_generations=25, rng_seed=3)
     defaults.update(kwargs)
     return fit(record, backbone, GAConfig(**defaults))
 
@@ -211,9 +222,7 @@ def test_best_params_respect_bounds(round_trip_record):
 
 def test_stall_stops_early(round_trip_record):
     record, backbone, _ = round_trip_record
-    _, history = small_fit(
-        record, backbone, max_generations=2000, stall_generations=5
-    )
+    _, history = small_fit(record, backbone, max_generations=2000)
     assert len(history) < 2000
 
 
@@ -283,7 +292,7 @@ def test_round_trip_recovery_quick(round_trip_record):
     best, history = fit(
         record,
         backbone,
-        GAConfig(population_size=30, max_generations=120, stall_generations=40, rng_seed=11),
+        GAConfig(population_size=30, max_generations=120, rng_seed=11),
     )
     sum_sq = float(np.sum(record.load**2))
     assert history.best_score[-1] <= 5e-3 * sum_sq
