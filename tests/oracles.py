@@ -9,14 +9,6 @@ import math
 import numpy as np
 
 from pivotfit.ingest import ParseError, SignalPair, format_number, validate
-from pivotfit.optimize import (
-    BLEND_ALPHA,
-    CROSSOVER_PROBABILITY,
-    ELITE_COUNT,
-    MUTATION_PROBABILITY,
-    MUTATION_SCALE,
-    TOURNAMENT_SIZE,
-)
 from pivotfit.pivot import PivotParams
 
 
@@ -181,21 +173,22 @@ def envelope_oracle(disp, load):
     return out
 
 
-def breed_loop_oracle(rng, genes, scores, lo, hi):
-    """The next GA generation bred one child at a time; the reference
-    that the one-pass ``optimize._breed`` must match bit for bit."""
+def breed_loop_oracle(rng, genes, scores, lo, hi, elite, tournament, cx, mut, blend, scale):
+    """The next GA generation bred one child at a time with the given
+    operator settings; the reference that the one-pass ``optimize._breed``
+    must match bit for bit when its constants hold the same values."""
     pop_n, n_genes = genes.shape
     span = hi - lo
-    n_children = pop_n - ELITE_COUNT
-    tourney = rng.integers(0, pop_n, size=(n_children, 2, TOURNAMENT_SIZE))
-    do_cx = rng.random(n_children) < CROSSOVER_PROBABILITY
+    n_children = pop_n - elite
+    tourney = rng.integers(0, pop_n, size=(n_children, 2, tournament))
+    do_cx = rng.random(n_children) < cx
     blend_u = rng.random((n_children, n_genes))
-    do_mut = rng.random((n_children, n_genes)) < MUTATION_PROBABILITY
-    mut_step = rng.standard_normal((n_children, n_genes)) * (MUTATION_SCALE * span)
+    do_mut = rng.random((n_children, n_genes)) < mut
+    mut_step = rng.standard_normal((n_children, n_genes)) * (scale * span)
 
-    elite_idx = np.argsort(scores, kind="stable")[:ELITE_COUNT]
+    elite_idx = np.argsort(scores, kind="stable")[:elite]
     next_genes = np.empty_like(genes)
-    next_genes[:ELITE_COUNT] = genes[elite_idx]
+    next_genes[:elite] = genes[elite_idx]
 
     for c in range(n_children):
         p1 = genes[tourney[c, 0][np.argmin(scores[tourney[c, 0]])]]
@@ -204,12 +197,12 @@ def breed_loop_oracle(rng, genes, scores, lo, hi):
             g_lo = np.minimum(p1, p2)
             g_hi = np.maximum(p1, p2)
             width = g_hi - g_lo
-            a = BLEND_ALPHA
+            a = blend
             child = (g_lo - a * width) + blend_u[c] * (1 + 2 * a) * width
         else:
             child = p1.copy()
         child = np.where(do_mut[c], child + mut_step[c], child)
-        next_genes[ELITE_COUNT + c] = np.clip(child, lo, hi)
+        next_genes[elite + c] = np.clip(child, lo, hi)
     return next_genes
 
 

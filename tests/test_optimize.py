@@ -15,6 +15,7 @@ from pivotfit import (
     fit,
     simulate,
 )
+from pivotfit import optimize
 from pivotfit.optimize import _breed
 from conftest import uniform_grid_protocol
 from oracles import breed_loop_oracle, score_loop_oracle as loop_oracle
@@ -55,8 +56,30 @@ def test_score_matches_loop_oracle_exactly(values):
     assert deviation_score(a, b) == loop_oracle(a.tolist(), b.tolist())
 
 
-@pytest.mark.parametrize("pop", [3, 5, 8, 12, 50])
-def test_breed_matches_loop_oracle(pop):
+@pytest.mark.parametrize(
+    "pop, elite, tournament, cx, mut, blend",
+    [
+        (50, 2, 3, 0.9, 0.1, 0.5),  # the fixed settings
+        (3, 2, 3, 0.9, 0.1, 0.5),  # the smallest population they admit
+        (50, 0, 3, 0.9, 0.1, 0.3),
+        (50, 49, 3, 0.9, 0.1, 0.3),
+        (12, 2, 1, 0.9, 0.1, 0.0),
+        (5, 1, 9, 0.5, 0.5, 0.3),  # tournaments larger than the population
+        (1, 0, 2, 1.0, 1.0, 0.3),
+        (8, 3, 2, 0.0, 0.0, 0.3),
+    ],
+)
+def test_breed_matches_loop_oracle(monkeypatch, pop, elite, tournament, cx, mut, blend):
+    # The operator settings are module constants; other values are patched
+    # in so the one-pass breed is checked at their edges too.
+    for name, value in [
+        ("ELITE_COUNT", elite),
+        ("TOURNAMENT_SIZE", tournament),
+        ("CROSSOVER_PROBABILITY", cx),
+        ("MUTATION_PROBABILITY", mut),
+        ("BLEND_ALPHA", blend),
+    ]:
+        monkeypatch.setattr(optimize, name, value)
     bounds = ParamBounds(beta2=(0.3, 0.3))  # one gene with an empty range
     lo, hi = bounds.lower(), bounds.upper()
     for seed in range(40):
@@ -68,7 +91,10 @@ def test_breed_matches_loop_oracle(pop):
         scores[rng.random(pop) < 0.05] = np.nan
         bred, looped = np.random.default_rng(seed), np.random.default_rng(seed)
         got = _breed(bred, genes, scores, lo, hi)
-        expected = breed_loop_oracle(looped, genes, scores, lo, hi)
+        expected = breed_loop_oracle(
+            looped, genes, scores, lo, hi, elite, tournament, cx, mut, blend,
+            optimize.MUTATION_SCALE,
+        )
         assert got.tobytes() == expected.tobytes()
         assert bred.random() == looped.random()  # the same draws were made
 
