@@ -34,7 +34,6 @@ from pivotfit.optimize import (
     ConvergenceHistory,
     ParamBounds,
     deviation_score,
-    evaluate,
     fit,
 )
 
@@ -63,7 +62,6 @@ __all__ = [
     "ConvergenceHistory",
     "FitError",
     "deviation_score",
-    "evaluate",
     "fit",
     "__version__",
 ]

@@ -173,8 +173,11 @@ def _manifest(cfg: PipelineConfig, command: str) -> dict:
         "numpy_version": np.__version__,
     }
     if cfg.input and os.path.exists(cfg.input):
+        digest = hashlib.sha256()  # fed in blocks, so the raw text is never held whole
         with open(cfg.input, "rb") as fh:
-            manifest["input_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+            for block in iter(lambda: fh.read(1 << 16), b""):
+                digest.update(block)
+        manifest["input_sha256"] = digest.hexdigest()
     return manifest
 
 

@@ -249,6 +249,8 @@ def load_record(
     numbers. The file is read by numpy and, if numpy refuses it, line by
     line (see the module docstring).
     """
+    if not delimiter:  # str.split would refuse it only inside the line walk
+        raise ValueError(f"delimiter must not be empty, got {delimiter!r}")
     columns = (displacement_column, load_column)
     # column c >= 0 is cell c + 1 of a line, column c < 0 is cell -c from its end
     ncols = max(c + 1 if c >= 0 else -c for c in columns)

@@ -18,7 +18,6 @@ no matter how many worker processes evaluate the population.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -152,48 +151,35 @@ def deviation_score(load_resp, load_exp) -> float:
     return float(np.add.accumulate(d * d)[-1])
 
 
-def evaluate(params: PivotParams, backbone, resampled: SignalPair) -> float:
-    """Deviation score of a candidate on the resampled record."""
-    response = simulate(backbone, params, resampled.displacement)
-    return deviation_score(response, resampled.load)
+def _score_population(history: History, load, genes) -> np.ndarray:
+    """Deviation score of every gene row against the load record of a
+    prepared history. The first candidate in row order that the engine
+    cannot run stops the fit."""
+    scores = np.empty(genes.shape[0])
+    for i, row in enumerate(genes):
+        params = PivotParams.from_array(row)
+        try:
+            response = simulate(history.backbone, params, history)
+        except ZeroDivisionError as exc:
+            raise FitError(
+                f"the engine cannot simulate {params}: a degraded elastic slope underflows to 0"
+            ) from exc
+        scores[i] = deviation_score(response, load)
+    return scores
 
 
-def _score_genes(history: History, load, genes) -> float:
-    """Score of one gene vector against the load record of a prepared
-    history. A candidate the engine cannot run stops the fit."""
-    params = PivotParams.from_array(genes)
-    try:
-        response = simulate(history.backbone, params, history)
-    except ZeroDivisionError as exc:
-        raise FitError(
-            f"the engine cannot simulate {params}: a degraded elastic slope underflows to 0"
-        ) from exc
-    return deviation_score(response, load)
+# A pool worker receives the prepared history and the load record once,
+# through the initializer, so they are not pickled again with every slice.
+_WORKER_RECORD = None
 
 
-# Pool workers receive the bound scorer once, through the initializer, so it
-# is not pickled again with every chunk of a map.
-_WORKER_SCORE = None
+def _init_worker(history, load):
+    global _WORKER_RECORD
+    _WORKER_RECORD = (history, load)
 
 
-def _init_worker(score):
-    global _WORKER_SCORE
-    _WORKER_SCORE = score
-
-
-def _score_all(score, genes):
-    return np.fromiter(map(score, genes), float, genes.shape[0])
-
-
-def _eval_worker(genes):
-    return _score_all(_WORKER_SCORE, genes)
-
-
-def _evaluate_population(genes, score, pool, workers):
-    if pool is None:
-        return _score_all(score, genes)
-    # one contiguous slice of the population per worker
-    return np.concatenate(list(pool.map(_eval_worker, np.array_split(genes, workers))))
+def _score_slice(genes):
+    return _score_population(*_WORKER_RECORD, genes)
 
 
 def _breed(rng, genes, scores, lo, hi):
@@ -247,7 +233,6 @@ def fit(
         prepared = History(backbone, resampled.displacement)
     except ValueError as exc:
         raise FitError(f"the record cannot be simulated: {exc}") from exc
-    score = partial(_score_genes, prepared, resampled.load)
 
     lo = config.bounds.lower()
     hi = config.bounds.upper()
@@ -271,10 +256,14 @@ def fit(
             pool = ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_worker,
-                initargs=(score,),
+                initargs=(prepared, resampled.load),
             )
         for generation in range(1, config.max_generations + 1):
-            scores = _evaluate_population(genes, score, pool, workers)
+            if pool is None:
+                scores = _score_population(prepared, resampled.load, genes)
+            else:  # one contiguous slice of the population per worker
+                slices = pool.map(_score_slice, np.array_split(genes, workers))
+                scores = np.concatenate(list(slices))
 
             gen_best = int(np.argmin(scores))
             if scores[gen_best] < best_score:

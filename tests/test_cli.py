@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import json
 import os
 import subprocess
@@ -238,6 +239,13 @@ def test_file_that_is_not_utf8_reports_file_and_line(tmp_path, capsys):
     assert f"{raw}: line 1: byte 0x8b is not UTF-8 text" in capsys.readouterr().err
 
 
+def test_empty_delimiter_flag_is_named(workdir, capsys):
+    tmp, raw, out, config = workdir
+    assert main(["resample", "--config", str(config), "--delimiter="]) == 1
+    err = capsys.readouterr().err
+    assert err == "pivotfit: stage 'resample': delimiter must not be empty, got ''\n"
+
+
 def _raise_fit_error(*args, **kwargs):
     raise FitError("no candidate could be evaluated")
 
@@ -457,3 +465,12 @@ def test_manifest_contents(workdir):
     assert manifest["config"]["scale"] == 40
     assert "config_sha256" in manifest and "input_sha256" in manifest
     assert "pivotfit_version" in manifest
+
+
+def test_manifest_input_sha256_is_the_hash_of_the_raw_bytes(workdir):
+    tmp, raw, out, config = workdir
+    with open(raw, "a") as fh:  # blank lines, which the reader skips, span 5 blocks
+        fh.write("\n" * (1 << 18))
+    assert main(["resample", "--config", str(config)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["input_sha256"] == hashlib.sha256(raw.read_bytes()).hexdigest()

@@ -83,6 +83,12 @@ def test_column_mapping_and_delimiter(tmp_path):
     np.testing.assert_array_equal(pair.load, [0, 5, 11])
 
 
+def test_empty_delimiter_is_rejected_by_name(tmp_path):
+    # refused before the file is opened: this file does not exist
+    with pytest.raises(ValueError, match="delimiter must not be empty, got ''"):
+        load_record(tmp_path / "nope.csv", delimiter="")
+
+
 def test_row_with_missing_cell_reports_line(tmp_path):
     p = tmp_path / "rec.csv"
     write_lines(p, ["0,0", "1", "2,4"])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,17 +8,17 @@ from hypothesis import strategies as st
 from pivotfit import (
     FitError,
     GAConfig,
+    History,
     IdealizedBackbone,
     ParamBounds,
     PivotParams,
     SignalPair,
     deviation_score,
-    evaluate,
     fit,
     simulate,
 )
 from pivotfit import optimize
-from pivotfit.optimize import _breed
+from pivotfit.optimize import _breed, _score_population
 from conftest import uniform_grid_protocol
 from oracles import breed_loop_oracle, score_loop_oracle as loop_oracle
 
@@ -101,23 +103,51 @@ def test_breed_matches_loop_oracle(monkeypatch, pop, elite, tournament, cx, mut,
 
 def test_evaluate_self_consistency(round_trip_record):
     record, backbone, truth = round_trip_record
-    assert evaluate(truth, backbone, record) <= 1e-9 * float(np.sum(record.load**2))
+    score = deviation_score(simulate(backbone, truth, record.displacement), record.load)
+    assert score <= 1e-9 * float(np.sum(record.load**2))
 
 
 def test_evaluate_zero_record(symmetric_backbone):
     record = SignalPair(np.zeros(10), np.zeros(10))
-    assert evaluate(PivotParams(5, 5, 0.5, 0.5, 10), symmetric_backbone, record) == 0.0
+    params = PivotParams(5, 5, 0.5, 0.5, 10)
+    response = simulate(symmetric_backbone, params, record.displacement)
+    assert deviation_score(response, record.load) == 0.0
 
 
 def test_perturbing_each_parameter_increases_score(round_trip_record):
     record, backbone, truth = round_trip_record
-    base = evaluate(truth, backbone, record)
+    base = deviation_score(simulate(backbone, truth, record.displacement), record.load)
     arr = truth.as_array()
     for i in range(5):
         for factor in (0.85, 1.15):
             p = arr.copy()
             p[i] *= factor
-            assert evaluate(PivotParams.from_array(p), backbone, record) > base
+            response = simulate(backbone, PivotParams.from_array(p), record.displacement)
+            assert deviation_score(response, record.load) > base
+
+
+def test_score_population_matches_per_genome_scores(round_trip_record):
+    # the contract a batched scorer must meet: each row's score equals
+    # simulate + deviation_score on that row's parameters, to the bit
+    record, backbone, truth = round_trip_record
+    lo, hi = ParamBounds().lower(), ParamBounds().upper()
+    rng = np.random.default_rng(7)
+    random_rows = lo + rng.random((20, 5)) * (hi - lo)
+    corners = np.array(list(itertools.product(*zip(lo, hi))))  # every lo/hi corner
+    repeated = random_rows[[3, 3]]
+    genes = np.vstack([random_rows, corners, repeated, truth.as_array()])
+    history = History(backbone, record.displacement)
+    got = _score_population(history, record.load, genes)
+    expected = [
+        deviation_score(
+            simulate(backbone, PivotParams.from_array(g), record.displacement),
+            record.load,
+        )
+        for g in genes
+    ]
+    assert got.shape == (len(genes),)
+    for row, score in enumerate(expected):
+        assert got[row].tobytes() == np.float64(score).tobytes(), row
 
 
 def test_config_validation():
@@ -223,7 +253,7 @@ def test_pool_capped_at_population_size(round_trip_record, monkeypatch):
             pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(pivotfit.optimize, "_WORKER_SCORE", None)
+    monkeypatch.setattr(pivotfit.optimize, "_WORKER_RECORD", None)
     record, backbone, _ = round_trip_record
     kwargs = dict(population_size=4, max_generations=5)
     best1, h1 = small_fit(record, backbone, workers=1, **kwargs)
@@ -252,27 +282,36 @@ def test_stall_stops_early(round_trip_record):
     assert len(history) < 2000
 
 
-def test_all_failures_raise_fit_error(symmetric_backbone):
-    bad = SignalPair(np.array([0.0, np.nan, 1.0]), np.array([0.0, 1.0, 2.0]))
-    for workers in (1, 2):
-        config = GAConfig(population_size=5, max_generations=2, workers=workers)
-        with pytest.raises(FitError):
-            fit(bad, symmetric_backbone, config)
-
-
 @pytest.mark.parametrize(
-    "load, message",
+    "displacement, load, message",
     [
-        (np.zeros(9), "length mismatch: displacement has 10 samples, load has 9"),
-        (np.where(np.arange(10) == 3, np.nan, 0.0), "non-finite load value at index 3"),
+        (
+            np.linspace(0, 2, 10),
+            np.zeros(9),
+            "length mismatch: displacement has 10 samples, load has 9",
+        ),
+        (
+            np.linspace(0, 2, 10),
+            np.where(np.arange(10) == 3, np.nan, 0.0),
+            "non-finite load value at index 3",
+        ),
+        (
+            np.array([0.0, np.nan, 1.0]),
+            np.array([0.0, 1.0, 2.0]),
+            "non-finite displacement value at index 1",
+        ),
     ],
-    ids=["length_mismatch", "non_finite_load"],
+    ids=["length_mismatch", "non_finite_load", "non_finite_displacement"],
 )
-def test_fit_names_a_record_it_cannot_score(symmetric_backbone, load, message):
-    bad = SignalPair(np.linspace(0, 2, 10), load)
-    config = GAConfig(population_size=4, max_generations=2)
-    with pytest.raises(FitError, match=message):
-        fit(bad, symmetric_backbone, config)
+def test_fit_names_a_record_it_cannot_score(
+    symmetric_backbone, displacement, load, message
+):
+    # the record is refused before any pool opens, so 2 workers start none
+    bad = SignalPair(displacement, load)
+    for workers in (1, 2):
+        config = GAConfig(population_size=4, max_generations=2, workers=workers)
+        with pytest.raises(FitError, match=message):
+            fit(bad, symmetric_backbone, config)
 
 
 @pytest.fixture(scope="module")
