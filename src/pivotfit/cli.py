@@ -213,6 +213,9 @@ def cmd_resample(cfg: PipelineConfig) -> None:
         reduced = regular_reduce(raw, cfg.step)
         changes = detect_reversals(reduced.displacement)
         resampled = irregular_resample(reduced, cfg.scale, changes)
+        # made here, so a refused or failed run leaves no output directory;
+        # the other commands read their inputs from it
+        os.makedirs(cfg.outdir, exist_ok=True)
         write_record(reduced, cfg.path("reduced.csv"), precision=cfg.precision)
         write_record(resampled, cfg.path("resampled.csv"), precision=cfg.precision)
 
@@ -412,7 +415,6 @@ def main(argv=None) -> int:
             if args.command in ("fit", "pipeline"):
                 cfg.ga_config().validate()
             manifest = _manifest(cfg, args.command)  # of the input as read
-            os.makedirs(cfg.outdir, exist_ok=True)
             # an earlier command's manifest would describe this run's outputs
             with suppress(FileNotFoundError):
                 os.remove(cfg.path("manifest.json"))

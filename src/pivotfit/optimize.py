@@ -12,11 +12,12 @@ fit with a ``FitError`` that names it.
 
 All random draws of a generation are made from the master generator
 before any fitness evaluation is dispatched, so results are bit-identical
-no matter how many worker processes evaluate the population.
+no matter how many processes evaluate the population.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,18 +169,50 @@ def _score_population(history: History, load, genes) -> np.ndarray:
     return scores
 
 
-# A pool worker receives the prepared history and the load record once,
-# through the initializer, so they are not pickled again with every slice.
-_WORKER_RECORD = None
+def _scores_or_error(history, load, genes):
+    """``_score_population``, or the exception it raised, held so that
+    every slice of a generation is in before the first error is raised."""
+    try:
+        return _score_population(history, load, genes)
+    except Exception as exc:
+        return exc
 
 
-def _init_worker(history, load):
-    global _WORKER_RECORD
-    _WORKER_RECORD = (history, load)
+def _score_worker(conn, history, load):
+    """A forked child: receive the prepared history and the load record
+    once, as process arguments, then score each slice that arrives over
+    ``conn`` until the sentinel ``None``."""
+    while (genes := conn.recv()) is not None:
+        conn.send(_scores_or_error(history, load, genes))
 
 
-def _score_slice(genes):
-    return _score_population(*_WORKER_RECORD, genes)
+def _score_pooled(children, history, load, genes):
+    """Scores of a generation cut into one contiguous slice per process:
+    the main process scores the first and each child one other. The first
+    error in population order is raised once every reply is in; a child
+    that died is reported by name and exit code."""
+    parts = np.array_split(genes, len(children) + 1)
+    try:
+        for (_, conn), part in zip(children, parts[1:]):
+            with suppress(OSError):  # a dead child's pipe: its receive reports it
+                conn.send(part)
+        replies = [_scores_or_error(history, load, parts[0])]
+        for child, conn in children:
+            try:
+                replies.append(conn.recv())
+            except (EOFError, OSError):
+                child.join()
+                replies.append(
+                    RuntimeError(f"{child.name} exited with code {child.exitcode}")
+                )
+    except BaseException:  # a child may still be scoring: do not wait for it
+        for child, _ in children:
+            child.terminate()
+        raise
+    for reply in replies:
+        if isinstance(reply, Exception):
+            raise reply
+    return np.concatenate(replies)
 
 
 def _breed(rng, genes, scores, lo, hi):
@@ -245,25 +278,30 @@ def fit(
     best_score = np.inf
     stall = 0
 
-    # a worker beyond one per genome would only get an empty slice
+    # a process beyond one per genome would only get an empty slice
     workers = min(config.workers, config.population_size)
-    pool = None
+    children = []  # (process, the main process's end of its pipe)
     try:
         if workers > 1:
             # imported here: a serial run does not pay for the import
-            from concurrent.futures import ProcessPoolExecutor
+            import multiprocessing
 
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(prepared, resampled.load),
-            )
+            for i in range(1, workers):
+                conn, child_end = multiprocessing.Pipe()
+                child = multiprocessing.Process(
+                    target=_score_worker,
+                    args=(child_end, prepared, resampled.load),
+                    name=f"GA worker {i}",
+                    daemon=True,
+                )
+                child.start()
+                child_end.close()  # so a child that dies reads as EOF here
+                children.append((child, conn))
         for generation in range(1, config.max_generations + 1):
-            if pool is None:
+            if children:
+                scores = _score_pooled(children, prepared, resampled.load, genes)
+            else:
                 scores = _score_population(prepared, resampled.load, genes)
-            else:  # one contiguous slice of the population per worker
-                slices = pool.map(_score_slice, np.array_split(genes, workers))
-                scores = np.concatenate(list(slices))
 
             gen_best = int(np.argmin(scores))
             if scores[gen_best] < best_score:
@@ -281,7 +319,12 @@ def fit(
 
             genes = _breed(rng, genes, scores, lo, hi)
     finally:
-        if pool is not None:
-            pool.shutdown()
+        # a forked child holds a copy of its own pipe's other end, so it
+        # never reads EOF: it stops on the sentinel
+        for child, conn in children:
+            with suppress(OSError):
+                conn.send(None)
+            conn.close()
+            child.join()
 
     return PivotParams.from_array(best_genes), history

@@ -374,14 +374,19 @@ def test_precision_checked_before_any_stage(workdir, capsys, command, source, pr
 
 @pytest.mark.parametrize(
     "flags, code",
-    [(["--input", "missing.csv"], 2), (["--scale", "5"], 1), (["--step", "0"], 1)],
+    [
+        (["--input", "missing.csv"], 2),
+        (["--scale", "5"], 1),
+        (["--step", "0"], 1),
+        (["--delimiter="], 1),
+    ],
 )
 def test_failed_run_leaves_no_manifest(workdir, flags, code):
     tmp, raw, out, config = workdir
     if flags[0] == "--input":
         flags = ["--input", str(tmp / flags[1])]
     assert main(["pipeline", "--config", str(config), *flags]) == code
-    assert out.is_dir()  # the run got as far as the stages
+    assert not out.exists()  # the resample stage failed before its first write
     assert not (out / "manifest.json").exists()
     assert not (out / "reduced.csv").exists()
 

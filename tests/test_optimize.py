@@ -1,4 +1,9 @@
 import itertools
+import multiprocessing
+import os
+import signal
+import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -226,45 +231,80 @@ def test_worker_count_does_not_change_results(round_trip_record):
     record, backbone, _ = round_trip_record
     best1, h1 = small_fit(record, backbone, max_generations=8, workers=1)
     best2, h2 = small_fit(record, backbone, max_generations=8, workers=2)
+    assert multiprocessing.active_children() == []
     assert best1 == best2
     np.testing.assert_array_equal(h1.best_score, h2.best_score)
     np.testing.assert_array_equal(h1.mean_score, h2.mean_score)
 
 
 def test_pool_capped_at_population_size(round_trip_record, monkeypatch):
-    import concurrent.futures
-
-    import pivotfit.optimize
-
-    sizes, slices = [], []
-
-    class InProcessPool:
-        """Records the pool size and maps in this process: no process starts."""
-
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
-
-        def map(self, fn, chunks):
-            slices.extend(len(chunk) for chunk in chunks)
-            return map(fn, chunks)
-
-        def shutdown(self):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(pivotfit.optimize, "_WORKER_RECORD", None)
     record, backbone, _ = round_trip_record
-    kwargs = dict(population_size=4, max_generations=5)
-    best1, h1 = small_fit(record, backbone, workers=1, **kwargs)
-    assert sizes == []  # a serial fit opens no pool
-    best2, h2 = small_fit(record, backbone, workers=64, **kwargs)
-    assert sizes == [4]
-    assert slices == [1] * 4 * len(h2)  # no worker gets an empty slice
+    children = []
+
+    def count_children(generation, history):
+        children.append(len(multiprocessing.active_children()))
+
+    def ga(workers):
+        config = GAConfig(population_size=4, max_generations=5, rng_seed=3, workers=workers)
+        return fit(record, backbone, config, on_generation=count_children)
+
+    best1, h1 = ga(1)
+    assert children == [0] * len(h1)  # a serial fit starts no process
+    main_slices = []
+    score = optimize._score_population
+
+    def score_one_genome(history, load, genes):
+        # raised in a child, the error comes back and is raised by fit
+        if len(genes) != 1:
+            raise AssertionError(f"a slice of {len(genes)} genomes")
+        main_slices.append(len(genes))  # appended to in the main process only
+        return score(history, load, genes)
+
+    monkeypatch.setattr(optimize, "_score_population", score_one_genome)
+    children.clear()
+    best2, h2 = ga(64)
+    assert children == [3] * len(h2)  # with the main process, one process per genome
+    assert main_slices == [1] * len(h2)  # no slice is empty
+    assert multiprocessing.active_children() == []
     assert best1 == best2
     np.testing.assert_array_equal(h1.best_score, h2.best_score)
     np.testing.assert_array_equal(h1.mean_score, h2.mean_score)
     np.testing.assert_array_equal(np.vstack(h1.best_params), np.vstack(h2.best_params))
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the test instead of hanging past ``seconds``. pytest's
+    failure is not an Exception, so no ``except OSError`` around a pipe
+    read or a process wait swallows it."""
+
+    def expire(signum, frame):
+        pytest.fail(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_child_that_dies_stops_the_fit_by_name(round_trip_record, monkeypatch, workers):
+    record, backbone, _ = round_trip_record
+    main_pid = os.getpid()
+    score = optimize._score_population
+
+    def die_in_a_child(history, load, genes):
+        if os.getpid() != main_pid:
+            os._exit(7)
+        return score(history, load, genes)
+
+    monkeypatch.setattr(optimize, "_score_population", die_in_a_child)
+    with deadline(20), pytest.raises(RuntimeError, match="^GA worker 1 exited with code 7$"):
+        small_fit(record, backbone, workers=workers)
+    assert multiprocessing.active_children() == []
 
 
 def test_best_params_respect_bounds(round_trip_record):
@@ -327,29 +367,57 @@ def underflow_record():
     return SignalPair(hist, loads), backbone
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_fit_names_a_candidate_it_cannot_simulate(underflow_record, workers):
+def test_an_interrupt_while_children_score_terminates_them(round_trip_record, monkeypatch):
+    record, backbone, _ = round_trip_record
+    main_pid = os.getpid()
+
+    def interrupt_while_children_sleep(history, load, genes):
+        if os.getpid() != main_pid:
+            time.sleep(60)  # busy: a sentinel would not stop it in time
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(optimize, "_score_population", interrupt_while_children_sleep)
+    with deadline(20), pytest.raises(KeyboardInterrupt):
+        small_fit(record, backbone, workers=3)
+    assert multiprocessing.active_children() == []
+
+
+# GA seed 0 fails first on genome 0, in the main process's slice. Seed
+# 133 fails first on genome 10, in the first child's slice on 2 and on 3
+# processes, and again on genome 14, in the second child's slice on 3.
+@pytest.mark.parametrize(
+    "workers, seed",
+    [(1, 0), (2, 0), (3, 0), (1, 133), (2, 133), (3, 133)],
+    ids=["1", "2", "3", "first_in_a_child-1", "first_in_a_child-2", "first_in_a_child-3"],
+)
+def test_fit_names_a_candidate_it_cannot_simulate(underflow_record, workers, seed):
     record, backbone = underflow_record
     bounds = ParamBounds(eta=(0.0, 4e307))
-    config = GAConfig(population_size=20, max_generations=5, bounds=bounds, workers=workers)
+    config = GAConfig(
+        population_size=20, max_generations=5, bounds=bounds, rng_seed=seed, workers=workers
+    )
     # the first genome of the first generation, in population order, that
     # the engine cannot run
     lo, hi = bounds.lower(), bounds.upper()
     genes = lo + np.random.default_rng(config.rng_seed).random((20, 5)) * (hi - lo)
     failing = []
-    for g in genes:
+    for i, g in enumerate(genes):
         try:
             simulate(backbone, PivotParams.from_array(g), record.displacement)
         except ZeroDivisionError:
-            failing.append(PivotParams.from_array(g))
+            failing.append(i)
     assert failing, "the first generation holds a candidate the engine cannot run"
+    if workers > 1:
+        main_slice = len(np.array_split(genes, workers)[0])
+        assert (failing[0] < main_slice) == (seed == 0)
     message = (
-        f"the engine cannot simulate {failing[0]}: "
+        f"the engine cannot simulate {PivotParams.from_array(genes[failing[0]])}: "
         "a degraded elastic slope underflows to 0"
     )
     with pytest.raises(FitError) as caught:
         fit(record, backbone, config)
     assert str(caught.value) == message
+    assert multiprocessing.active_children() == []
 
 
 def test_round_trip_recovery_quick(round_trip_record):
