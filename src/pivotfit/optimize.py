@@ -149,7 +149,8 @@ def deviation_score(load_resp, load_exp) -> float:
     if load_resp.shape[0] == 0:
         return 0.0
     d = load_resp - load_exp
-    return float(np.add.accumulate(d * d)[-1])
+    d *= d
+    return float(np.add.accumulate(d)[-1])
 
 
 def _score_population(history: History, load, genes) -> np.ndarray:
@@ -157,8 +158,8 @@ def _score_population(history: History, load, genes) -> np.ndarray:
     prepared history. The first candidate in row order that the engine
     cannot run stops the fit."""
     scores = np.empty(genes.shape[0])
-    for i, row in enumerate(genes):
-        params = PivotParams.from_array(row)
+    for i, row in enumerate(genes.tolist()):
+        params = PivotParams(*row)
         try:
             response = simulate(history.backbone, params, history)
         except ZeroDivisionError as exc:

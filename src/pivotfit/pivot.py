@@ -49,12 +49,13 @@ line. From there the response is computed one monotone run of the
 history at a time (the samples between two reversals): a run launches
 its branch once, and each stretch of it on one line or on the backbone
 is filled in bulk with the expressions a sample-by-sample evaluation
-would use, so the loads match that evaluation bit for bit. A launch
-reads the launch geometry of both sides: the degraded elastic
-slope, the extreme-response point, the primary and pinching pivots and
-the reloading slope. These change only when the side's historical
-extreme grows, so each side's geometry is rebuilt only then, with the
-envelope load of the sample that set the new extreme. Runs are cut by
+would use, so the loads match that evaluation bit for bit. A call
+first computes what the parameters alone set: each side's primary and
+pinching pivot loads and the scaled eta. A launch reads each side's
+degraded elastic slope, extreme-response point, pivots and reloading
+slope, rebuilt only when that side's historical extreme grows (with the
+envelope load of the sample that set it), and computes its branch's
+slope and at most two pending events in place. Runs are cut by
 ``resample.sign_flips``, which also cuts resampling segments and
 backbone half-cycles. What a run holds whatever the parameters (its
 samples as search keys, its last displacement and envelope load) is
@@ -77,8 +78,8 @@ from pivotfit.resample import sign_flips
 ETA_SCALE = 100.0  # eta acts per 100 in the degradation shrink factor
 
 # load sources of a response segment past the elastic prefix
-_ENV = 0
-_LINE = 1
+_ENV = 0.0
+_LINE = 1.0
 # segment table entry (source, line anchor x, y, slope) of the envelope
 _ENV_SEGMENT = (_ENV, 0.0, 0.0, 0.0)
 
@@ -121,26 +122,20 @@ class PivotParams:
 PARAM_NAMES = ("alpha1", "alpha2", "beta1", "beta2", "eta")
 
 
-def _side(g: IdealizedBackbone, p: PivotParams, s: int, d_x: float, f_x: float):
+def _side(fixed, s, d_x: float, f_x: float):
     """Launch geometry of the side in direction s, whose historical
     extreme is d_x with envelope load f_x: degraded elastic slope k,
     primary pivot (px, py), extreme-response point (d_e, f_e), pinching
     pivot (ppx, ppy) and the slope of the reloading line through the
     pinching pivot and the extreme point, 0.0 where no such line ascends
-    or the side has not yielded."""
-    if s > 0:
-        k, dy, f_dy = g.k_pos, g.dy_pos, g.f_dy_pos
-        py = -p.alpha1 * g.fy_pos  # departing positive force: below the axis
-        ppy = p.beta1 * g.fy_pos
-        yielded = d_x > dy
-    else:
-        k, dy, f_dy = g.k_neg, g.dy_neg, g.f_dy_neg
-        py = p.alpha2 * (-g.fy_neg)  # departing negative force: above it
-        ppy = p.beta2 * g.fy_neg
-        yielded = d_x < dy
+    or the side has not yielded. ``fixed`` is what the parameters alone
+    set for the side: its initial elastic slope, yield point, py, ppy and
+    the scaled degradation rate."""
+    k, dy, f_dy, py, ppy, eta_scaled = fixed
+    yielded = d_x > dy if s > 0 else d_x < dy
     mu = d_x / dy  # peak displacement ductility
     if mu > 1.0:
-        shrink = 1.0 + (p.eta / ETA_SCALE) * (mu - 1.0)
+        shrink = 1.0 + eta_scaled * (mu - 1.0)
         # Degradation approaches the secant stiffness of the
         # extreme-response point asymptotically but never reaches it;
         # unloading softer than the secant would invert loop orientation
@@ -158,48 +153,6 @@ def _side(g: IdealizedBackbone, p: PivotParams, s: int, d_x: float, f_x: float):
     return k, py / k, py, d_e, f_e, yielded, ppx, ppy, r_slope
 
 
-def _launch(s: int, x0: float, y0: float, dep, tgt):
-    """Slope of the branch that motion in direction s starts from (x0, y0)
-    off the envelope, and its pending events (x, ax, ay, slope): at x the
-    response moves to the line through (ax, ay) with that slope, or onto
-    the envelope where ax is None. dep and tgt are the ``_side`` geometry
-    of the departure side -s and the target side s."""
-    _, _, _, d_e, f_e, yielded, ppx, ppy, r_slope = tgt
-    to_env = (d_e, None, 0.0, 0.0)
-    if y0 * s < 0:
-        # unloading toward the primary pivot of the departure force side
-        k_dep, px, py = dep[:3]
-        if (px - x0) * s <= 0.0:
-            slope = k_dep  # degenerate: launch point at/past the pivot
-        else:
-            slope = (py - y0) / (px - x0)
-        if yielded:
-            # reloading line through the pinching pivot and the extreme
-            denom = slope - r_slope
-            if r_slope > 0.0 and denom != 0.0:
-                x_int = (ppy - r_slope * ppx - y0 + slope * x0) / denom
-                if (x_int - x0) * s >= 0.0 and (d_e - x_int) * s > 0.0:
-                    return slope, [(x_int, ppx, ppy, r_slope), to_env]
-        elif slope != 0.0:
-            # never-yielded side: reload from the zero-load crossing
-            # straight toward the yield point
-            x_zero = x0 - y0 / slope
-            if (x_zero - x0) * s >= 0.0 and (d_e - x_zero) * s > 0.0:
-                return slope, [(x_zero, x_zero, 0.0, f_e / (d_e - x_zero)), to_env]
-        # fallback: hold the extreme load level once the line reaches it
-        if slope != 0.0:
-            x_cap = x0 + (f_e - y0) / slope
-            if (x_cap - x0) * s > 0.0:
-                if (d_e - x_cap) * s > 0.0:
-                    return slope, [(x_cap, x_cap, f_e, 0.0), to_env]
-                return slope, [(x_cap, x_cap, f_e, 0.0)]
-        return slope, []
-    # the force already has the sign of motion: head for the extreme point
-    if (d_e - x0) * s <= 0.0:
-        return 0.0, []  # at/past the target: hold load
-    return (f_e - y0) / (d_e - x0), [to_env]
-
-
 def _respond(g: IdealizedBackbone, p: PivotParams, history: "History") -> np.ndarray:
     """Load at every sample of a history, from the virgin state.
 
@@ -209,6 +162,14 @@ def _respond(g: IdealizedBackbone, p: PivotParams, history: "History") -> np.nda
     one segment, and the loads of all segments are filled in bulk at the
     end with the expressions of their branches.
     """
+    # what the parameters alone set for each side (see ``_side``): the
+    # primary pivot departing positive force is below the axis, the one
+    # departing negative force above it
+    eta_scaled = p.eta / ETA_SCALE
+    pos_fixed = (g.k_pos, g.dy_pos, g.f_dy_pos, -p.alpha1 * g.fy_pos,
+                 p.beta1 * g.fy_pos, eta_scaled)
+    neg_fixed = (g.k_neg, g.dy_neg, g.f_dy_neg, p.alpha2 * (-g.fy_neg),
+                 p.beta2 * g.fy_neg, eta_scaled)
     # current point; historical extremes of envelope contact and the
     # envelope loads there, read only once that side has yielded; motion
     # direction; whether the response is on the envelope, else on the
@@ -216,8 +177,6 @@ def _respond(g: IdealizedBackbone, p: PivotParams, history: "History") -> np.nda
     d, f, d_max, d_min, direction = history.start
     f_max = f_min = 0.0
     on_env = True
-    ax = ay = slope = 0.0
-    events = []
     # launch geometry of each side, rebuilt when that side's extreme grows
     pos_key = neg_key = pos_side = neg_side = None
     # segment table: sample counts, then source, line anchor x, y and
@@ -231,15 +190,58 @@ def _respond(g: IdealizedBackbone, p: PivotParams, history: "History") -> np.nda
             # on the envelope at the extreme, motion continues outward on it
             if not (on_env and (d >= d_max if s > 0 else d <= d_min)):
                 if pos_key != d_max:
-                    pos_key, pos_side = d_max, _side(g, p, 1, d_max, f_max)
+                    pos_key, pos_side = d_max, _side(pos_fixed, 1, d_max, f_max)
                 if neg_key != d_min:
-                    neg_key, neg_side = d_min, _side(g, p, -1, d_min, f_min)
+                    neg_key, neg_side = d_min, _side(neg_fixed, -1, d_min, f_min)
+                # the departure side -s and the target side s
+                dep, tgt = (neg_side, pos_side) if s > 0 else (pos_side, neg_side)
+                k_dep, px, py = dep[0], dep[1], dep[2]
+                _, _, _, d_e, f_e, yielded, ppx, ppy, r_slope = tgt
                 on_env = False
                 ax, ay = d, f
-                if s > 0:
-                    slope, events = _launch(s, d, f, neg_side, pos_side)
+                # pending events: at x = e1 onto the line through (e_ax,
+                # e_ay) with slope e_slope, or onto the envelope where e_ax
+                # is None, then onto the envelope at x = e2. A NaN event
+                # point is never reached, so NaN also means no event.
+                e1 = e2 = math.nan
+                e_ax = None
+                if f * s < 0:
+                    # unloading toward the primary pivot of the departure
+                    # force side
+                    if (px - d) * s <= 0.0:
+                        slope = k_dep  # degenerate: launch point at/past the pivot
+                    else:
+                        slope = (py - f) / (px - d)
+                    if yielded:
+                        # reloading line through the pinching pivot and the extreme
+                        denom = slope - r_slope
+                        if r_slope > 0.0 and denom != 0.0:
+                            x = (ppy - r_slope * ppx - f + slope * d) / denom
+                            if (x - d) * s >= 0.0 and (d_e - x) * s > 0.0:
+                                e1, e_ax, e_ay, e_slope = x, ppx, ppy, r_slope
+                    elif slope != 0.0:
+                        # never-yielded side: reload from the zero-load
+                        # crossing straight toward the yield point
+                        x = d - f / slope
+                        if (x - d) * s >= 0.0 and (d_e - x) * s > 0.0:
+                            e1, e_ax, e_ay, e_slope = x, x, 0.0, f_e / (d_e - x)
+                    if e1 == e1:
+                        e2 = d_e
+                    elif slope != 0.0:
+                        # fallback: hold the extreme load level once the
+                        # line reaches it
+                        x = d + (f_e - f) / slope
+                        if (x - d) * s > 0.0:
+                            e1, e_ax, e_ay, e_slope = x, x, f_e, 0.0
+                            if (d_e - x) * s > 0.0:
+                                e2 = d_e
+                # the force already has the sign of motion: head for the
+                # extreme point, or hold load at/past it
+                elif (d_e - d) * s <= 0.0:
+                    slope = 0.0
                 else:
-                    slope, events = _launch(s, d, f, pos_side, neg_side)
+                    slope = (f_e - f) / (d_e - d)
+                    e1 = d_e
         j = a
         while True:
             if on_env:
@@ -254,15 +256,12 @@ def _respond(g: IdealizedBackbone, p: PivotParams, history: "History") -> np.nda
                 lens.append(b - j)
                 segs.extend(_ENV_SEGMENT)
                 break
-            # The first sample with (x - ex)*s >= 0 reaches the next
+            # The first sample with (x - e1)*s >= 0 reaches the next
             # event: keys holds x moving up and -x moving down, so that
-            # is the first key not below ex*s. A NaN event point is
-            # never reached.
+            # is the first key not below e1*s.
             k = b
-            if events:
-                ex = events[0][0]
-                if ex == ex:
-                    k = bisect_left(keys, ex if s > 0 else -ex, j, b)
+            if e1 == e1:
+                k = bisect_left(keys, e1 if s > 0 else -e1, j, b)
             if k > j:
                 lens.append(k - j)
                 segs.extend((_LINE, ax, ay, slope))
@@ -270,16 +269,16 @@ def _respond(g: IdealizedBackbone, p: PivotParams, history: "History") -> np.nda
                 d = d_end
                 f = ay + slope * (d_end - ax)
                 break
-            _, next_ax, next_ay, next_slope = events.pop(0)
-            if next_ax is None:
+            if e_ax is None:
                 on_env = True
             else:
-                ax, ay, slope = next_ax, next_ay, next_slope
+                ax, ay, slope = e_ax, e_ay, e_slope
+                e1, e_ax = e2, None
             j = k
 
     nseg = len(lens)
     table = np.fromiter(segs, float, 4 * nseg).reshape(nseg, 4)
-    source, ax, ay, slope = np.repeat(table.T, lens, axis=1)
+    source, ax, ay, slope = table.T.repeat(lens, axis=1)
     n0 = history.n0
     tail = history.xs[n0:] - ax  # then ay + slope*(x - ax), in place
     tail *= slope

@@ -155,6 +155,39 @@ def test_score_population_matches_per_genome_scores(round_trip_record):
         assert got[row].tobytes() == np.float64(score).tobytes(), row
 
 
+
+def test_fit_calls_the_module_scorers_once_per_genome(round_trip_record, monkeypatch):
+    # the contract the benchmark's tracer reads: a serial fit calls
+    # optimize.simulate and optimize.deviation_score, looked up at call
+    # time, once per genome, with positional arguments, a PivotParams and
+    # the one History the fit prepared
+    record, backbone, _ = round_trip_record
+    simulated, responses, scored = [], [], []
+
+    def counted_simulate(*args):
+        simulated.append(args)
+        responses.append(simulate(*args))
+        return responses[-1]
+
+    def counted_score(*args):
+        scored.append(args)
+        return deviation_score(*args)
+
+    monkeypatch.setattr(optimize, "simulate", counted_simulate)
+    monkeypatch.setattr(optimize, "deviation_score", counted_score)
+    fit(record, backbone, GAConfig(population_size=6, max_generations=2, workers=1))
+    assert len(simulated) == len(scored) == 12
+    prepared = simulated[0][2]
+    assert isinstance(prepared, History) and prepared.backbone is backbone
+    assert len(prepared) == len(record.displacement)
+    for (geometry, params, history), response, (resp, load) in zip(
+        simulated, responses, scored
+    ):
+        assert geometry is backbone and history is prepared
+        assert type(params) is PivotParams
+        assert resp is response
+        assert load is record.load
+
 def test_config_validation():
     GAConfig().validate()
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 
 import numpy as np
@@ -7,6 +8,7 @@ from pivotfit import (
     FitError,
     GAConfig,
     IdealizedBackbone,
+    ParamBounds,
     PivotParams,
     SignalPair,
     fit,
@@ -662,3 +664,26 @@ def test_params_at_bounds_run(symmetric_backbone):
     ):
         loads = simulate(symmetric_backbone, params, hist)
         assert np.isfinite(loads).all()
+
+
+def test_simulate_matches_oracle_at_every_bound_corner():
+    # the benchmark's backbone and protocol shape: yield at +-0.4, two
+    # cycles at each amplitude, the first two below yield
+    g = IdealizedBackbone(
+        [-1.6, -1.0, -0.4, 0.0, 0.4, 1.0, 1.6], [-41.0, -50.0, -35.0, 0.0, 40.0, 56.0, 47.0]
+    )
+    peaks = []
+    for amplitude in (0.15, 0.25, 0.4, 0.55, 0.75, 1.0, 1.3, 1.6):
+        peaks += [amplitude, -amplitude] * 2
+    hist = triangle_protocol([*peaks, 0.0], pts=12)
+    doubled = np.repeat(hist, 2)  # every sample repeated: the fill path
+    assert History(g, doubled).fill is not None
+    lo, hi = ParamBounds().lower(), ParamBounds().upper()
+    corners = list(itertools.product(*zip(lo.tolist(), hi.tolist())))
+    assert len(corners) == 32
+    for corner in corners:
+        params = PivotParams(*corner)
+        for h in (hist, -hist, doubled):
+            # tobytes also tells 0.0 from -0.0
+            expected = step_simulate_oracle(g, params, h).tobytes()
+            assert simulate(g, params, h).tobytes() == expected, corner
