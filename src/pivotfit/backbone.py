@@ -105,10 +105,6 @@ class IdealizedBackbone:
             self.yield_equals_peak_negative,
         )
 
-    def point(self, k: int):
-        """1-based point accessor."""
-        return self.displacement[k - 1], self.load[k - 1]
-
     def envelope_at(self, d: np.ndarray) -> np.ndarray:
         """Piecewise-linear backbone load at every displacement of d,
         clamped at the terminal loads beyond the ultimate points and

@@ -15,9 +15,9 @@ stripped, non-blank lines. Where numpy accepts a cell its value is
 with a multi-character delimiter, is walked line by line; the walk
 yields the same arrays, or raises ParseError naming the first bad line.
 A byte that is not UTF-8 raises ParseError naming its line. Memory
-follows the parsed columns, not the text. Writers stack the columns
-once and write a block of rows at a time, each block formatted by one
-``%`` operation.
+follows the parsed columns, not the text. Writers write comma-separated
+text: they stack the columns once and write a block of rows at a time,
+each block formatted by one ``%`` operation.
 """
 
 from __future__ import annotations
@@ -280,34 +280,23 @@ def format_number(x: float, precision: int = OUTPUT_PRECISION) -> str:
     return f"{x:.{precision}g}"
 
 
-def write_record(
-    pair: SignalPair,
-    path,
-    delimiter: str = ",",
-    precision: int = OUTPUT_PRECISION,
-    header=None,
-) -> None:
-    """Write a SignalPair as delimiter-separated text (UTF-8, LF endings).
+def write_record(pair: SignalPair, path, precision: int = OUTPUT_PRECISION) -> None:
+    """Write a SignalPair as comma-separated text (UTF-8, LF endings).
 
     Round-trips through :func:`load_record` up to ``precision``
     significant digits.
     """
-    if header is None:
-        header = (
-            f"displacement_{pair.displacement_unit}",
-            f"load_{pair.load_unit}",
-        )
     write_columns(
         path,
-        header,
+        (f"displacement_{pair.displacement_unit}", f"load_{pair.load_unit}"),
         (pair.displacement, pair.load),
-        delimiter=delimiter,
         precision=precision,
     )
 
 
-def write_columns(path, header, columns, delimiter=",", precision=OUTPUT_PRECISION):
-    """Write parallel numeric columns with a one-line header.
+def write_columns(path, header, columns, precision=OUTPUT_PRECISION):
+    """Write parallel numeric columns as comma-separated text with a
+    one-line header.
 
     Raises ValueError, before the file is opened, if the columns differ
     in length or precision is below 1.
@@ -319,10 +308,9 @@ def write_columns(path, header, columns, delimiter=",", precision=OUTPUT_PRECISI
     if precision < 1:
         raise ValueError(f"precision must be at least 1, got {precision}")
     # '%' with an explicit '.pg' formats a value as format() does
-    sep = delimiter.replace("%", "%%")
-    row = sep.join([f"%.{precision}g"] * len(columns)) + "\n"
+    row = ",".join([f"%.{precision}g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(delimiter.join(header) + "\n")
+        fh.write(",".join(header) + "\n")
         if columns:
             table = np.column_stack(columns)
             for start in range(0, len(table), _WRITE_BLOCK_ROWS):

@@ -63,7 +63,7 @@ class ParamBounds:
     def validate(self):
         lo, hi = self.lower(), self.upper()
         try:  # a box is admissible when both of its corners are
-            PivotParams.from_array(lo), PivotParams.from_array(hi)
+            PivotParams(*lo.tolist()), PivotParams(*hi.tolist())
         except ValueError as exc:
             raise ValueError(f"bounds exceed the admissible parameter ranges: {exc}")
         if np.any(lo > hi):
@@ -128,10 +128,6 @@ class ConvergenceHistory:
             generation, self.best_score[g], self.mean_score[g], *self.best_params[g]
         )
 
-    def rows(self):
-        """Every generation's row, in order."""
-        return map(self.row, range(1, len(self) + 1))
-
 
 def deviation_score(load_resp, load_exp) -> float:
     """Sum of squared differences between two equal-length load arrays.
@@ -187,11 +183,11 @@ def _score_worker(conn, history, load):
         conn.send(_scores_or_error(history, load, genes))
 
 
-def _score_pooled(children, history, load, genes):
+def _score_generation(children, history, load, genes):
     """Scores of a generation cut into one contiguous slice per process:
-    the main process scores the first and each child one other. The first
-    error in population order is raised once every reply is in; a child
-    that died is reported by name and exit code."""
+    the main process scores the first and each child one other (a serial
+    fit has no children). The first error in population order is raised
+    once every reply is in; a child that died is named with its exit code."""
     parts = np.array_split(genes, len(children) + 1)
     try:
         for (_, conn), part in zip(children, parts[1:]):
@@ -299,10 +295,7 @@ def fit(
                 child_end.close()  # so a child that dies reads as EOF here
                 children.append((child, conn))
         for generation in range(1, config.max_generations + 1):
-            if children:
-                scores = _score_pooled(children, prepared, resampled.load, genes)
-            else:
-                scores = _score_population(prepared, resampled.load, genes)
+            scores = _score_generation(children, prepared, resampled.load, genes)
 
             gen_best = int(np.argmin(scores))
             if scores[gen_best] < best_score:
@@ -328,4 +321,4 @@ def fit(
             conn.close()
             child.join()
 
-    return PivotParams.from_array(best_genes), history
+    return PivotParams(*best_genes.tolist()), history

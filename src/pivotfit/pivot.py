@@ -111,13 +111,6 @@ class PivotParams:
         if self.eta < 0:
             raise ValueError("eta must be >= 0")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, n) for n in PARAM_NAMES])
-
-    @classmethod
-    def from_array(cls, values) -> "PivotParams":
-        return cls(*(float(v) for v in values))
-
 
 PARAM_NAMES = ("alpha1", "alpha2", "beta1", "beta2", "eta")
 

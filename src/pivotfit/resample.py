@@ -18,7 +18,6 @@ class SegmentError(ValueError):
     """Raised when a resampling segment cannot be interpolated."""
 
     def __init__(self, segment: int, message: str):
-        self.segment = segment
         super().__init__(f"segment {segment}: {message}")
 
 

@@ -62,13 +62,13 @@ def load_record_oracle(path, delimiter=",", displacement_column=0, load_column=1
     return validate(SignalPair(np.array(disp), np.array(load)))
 
 
-def write_columns_oracle(path, header, columns, delimiter=",", precision=9):
-    """Columns written one formatted value at a time."""
+def write_columns_oracle(path, header, columns, precision=9):
+    """Columns written one formatted value at a time, comma-separated."""
     columns = [np.asarray(c) for c in columns]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(delimiter.join(header) + "\n")
+        fh.write(",".join(header) + "\n")
         for row in zip(*columns):
-            fh.write(delimiter.join(format_number(v, precision) for v in row) + "\n")
+            fh.write(",".join(format_number(v, precision) for v in row) + "\n")
 
 
 def detect_reversals_oracle(values):

@@ -8,6 +8,7 @@ one-line PASS summary (visible with ``pytest -s``). Run with::
 
 import time
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -288,7 +289,7 @@ def test_c10_ga_determinism_and_monotonicity(ga_run, round_trip_record):
     cfg1 = GAConfig(population_size=16, max_generations=8, rng_seed=123, workers=1)
     cfg2 = GAConfig(population_size=16, max_generations=8, rng_seed=123, workers=2)
     runs = [fit(record, backbone, cfg)[1] for cfg in (cfg1, cfg1, cfg2)]
-    rows = [["%r" % (row,) for row in h.rows()] for h in runs]
+    rows = [["%r" % (h.row(g),) for g in range(1, len(h) + 1)] for h in runs]
     assert rows[0] == rows[1] == rows[2]
     elapsed = time.perf_counter() - start
     report(
@@ -300,7 +301,7 @@ def test_c10_ga_determinism_and_monotonicity(ga_run, round_trip_record):
 def test_c11_one_parameter_grid_search_equivalence(round_trip_record):
     record, backbone, truth = round_trip_record
     defaults = ParamBounds()
-    tv = truth.as_array()
+    tv = np.array(astuple(truth))
     history = History(backbone, record.displacement)
     for i, name in enumerate(PARAM_NAMES):
         start = time.perf_counter()
@@ -311,7 +312,7 @@ def test_c11_one_parameter_grid_search_equivalence(round_trip_record):
             v = lo + k * span * 1e-3
             arr = tv.copy()
             arr[i] = v
-            response = simulate(backbone, PivotParams.from_array(arr), history)
+            response = simulate(backbone, PivotParams(*arr.tolist()), history)
             s = deviation_score(response, record.load)
             if s < best_score:
                 best_score, best_grid = s, v

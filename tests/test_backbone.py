@@ -127,12 +127,13 @@ def test_idealize_hand_example_non_degenerate_positive():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # negative side yield==peak
         ib = idealize(env)
-    assert ib.point(5) == (2, 11)  # first load > 0.65*16 = 10.4
-    assert ib.point(6) == (4, 16)
-    assert ib.point(7) == (5, 12)
-    assert ib.point(4) == (0, 0)
-    assert ib.point(1) == (-4, -10)
-    assert ib.point(2) == (-3, -16)
+    d, f = ib.displacement, ib.load  # 1-based point k is at index k - 1
+    assert (d[4], f[4]) == (2, 11)  # first load > 0.65*16 = 10.4
+    assert (d[5], f[5]) == (4, 16)
+    assert (d[6], f[6]) == (5, 12)
+    assert (d[3], f[3]) == (0, 0)
+    assert (d[0], f[0]) == (-4, -10)
+    assert (d[1], f[1]) == (-3, -16)
     assert not ib.yield_equals_peak_positive
 
 
@@ -151,6 +152,9 @@ def test_idealize_requires_three_points_per_side():
     env = EnvelopeCurve([-2, -1, 1, 2, 3], [-9, -7, 6, 9, 8])
     with pytest.raises(ValueError, match="3 envelope points"):
         idealize(env)
+    one_signed = EnvelopeCurve([-3, -2, -1, 1, 2, 3], [1, 2, 3, 4, 5, 6])
+    with pytest.raises(ValueError, match="both positive and negative loads"):
+        idealize(one_signed)
 
 
 @pytest.mark.parametrize("side", ["positive", "negative"])

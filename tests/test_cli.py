@@ -167,6 +167,23 @@ def test_params_file_rejects_a_repeated_parameter(tmp_path, capsys):
     assert f"{params}: line 6: duplicate parameter 'alpha1'" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("alpha1 10\n", "line 1: expected '<param>=<value>'"),
+        ("alpha1=ten\n", "line 1: non-numeric value 'ten'"),
+        ("alpha1=10\n", "missing parameters: alpha2, beta1, beta2, eta"),
+    ],
+    ids=["no_equals_sign", "non_numeric", "missing"],
+)
+def test_params_file_format_errors_are_named(tmp_path, capsys, text, message):
+    params = tmp_path / "params.txt"
+    params.write_text(text)
+    argv = ["simulate", "--outdir", str(tmp_path), "--params", str(params)]
+    assert main(argv) == 1
+    assert f"{params}: {message}" in capsys.readouterr().err
+
+
 def test_simulate_self_consistency(workdir):
     """Simulating the generating params reproduces the experimental
     column: the record is regenerated from the params file so the
@@ -174,8 +191,8 @@ def test_simulate_self_consistency(workdir):
     tmp, raw, out, config = workdir
     out.mkdir()
     params_file = out / "params.txt"
-    params_file.write_text(
-        "alpha1=10\nalpha2=8\nbeta1=0.7\nbeta2=0.6\neta=40\n"
+    params_file.write_text(  # comment and blank lines are skipped
+        "# generating parameters\n\nalpha1=10\nalpha2=8\nbeta1=0.7\nbeta2=0.6\neta=40\n"
     )
     grid = uniform_grid_protocol([1.5, -1.5, 2.2, -2.2, 0.0], step=0.025)
     loads = simulate(BACKBONE, PivotParams(10, 8, 0.7, 0.6, 40), grid)
@@ -250,11 +267,20 @@ def _raise_fit_error(*args, **kwargs):
     raise FitError("no candidate could be evaluated")
 
 
+def _raise_keyboard_interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
 @pytest.mark.parametrize(
     "case, code, stderr",
     [
         ("fit_error", 3, "pivotfit: stage 'fit': no candidate could be evaluated\n"),
+        ("interrupt", 130, "interrupted; partial outputs flushed\n"),
         ("outdir_not_a_path", 1, "pivotfit: "),
+        ("config_not_an_object", 1, "pivotfit: config file {config} must hold a JSON object\n"),
+        ("unknown_config_key", 1, "pivotfit: unknown config file keys: colour\n"),
+        ("unparsable_bounds", 1, "pivotfit: cannot parse bounds flag 'alpha1=a:b'"),
+        ("no_input", 1, "pivotfit: stage 'resample': no input file given\n"),
         ("bad_flag_value", 1, "usage: pivotfit pipeline "),
         ("unknown_command", 1, "usage: pivotfit "),
         ("no_arguments", 1, "usage: pivotfit "),
@@ -265,16 +291,26 @@ def test_exit_codes(workdir, monkeypatch, capsys, case, code, stderr):
     argv = ["pipeline", "--config", str(config)]
     if case == "fit_error":
         monkeypatch.setattr(pivotfit.cli, "fit", _raise_fit_error)
+    elif case == "interrupt":
+        monkeypatch.setattr(pivotfit.cli, "fit", _raise_keyboard_interrupt)
     elif case == "outdir_not_a_path":
         config.write_text(json.dumps({"input": str(raw), "outdir": 5}))
+    elif case == "config_not_an_object":
+        config.write_text(json.dumps([str(raw), str(out)]))
+    elif case == "unknown_config_key":
+        config.write_text(json.dumps({"input": str(raw), "colour": "red"}))
     else:
         argv = {
+            "unparsable_bounds": [*argv, "--bounds", "alpha1=a:b"],
+            "no_input": ["resample", "--outdir", str(out)],
             "bad_flag_value": [*argv, "--step", "two"],
             "unknown_command": ["frobnicate"],
             "no_arguments": [],
         }[case]
     assert main(argv) == code
-    assert capsys.readouterr().err.startswith(stderr)
+    assert capsys.readouterr().err.startswith(stderr.format(config=config))
+    # only a failure in a stage after resample leaves an output directory
+    assert out.exists() == (case in ("fit_error", "interrupt"))
     # the console script exits with the code main returns
     monkeypatch.setattr(sys, "argv", ["pivotfit", *argv])
     with pytest.raises(SystemExit) as exited:
@@ -479,3 +515,39 @@ def test_manifest_input_sha256_is_the_hash_of_the_raw_bytes(workdir):
     assert main(["resample", "--config", str(config)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["input_sha256"] == hashlib.sha256(raw.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("workers, imported", [(1, False), (2, True)])
+def test_only_a_fit_on_several_workers_imports_multiprocessing(tmp_path, workers, imported):
+    make_raw_record(tmp_path / "raw.csv", n_per_leg=40)
+    src = os.path.dirname(os.path.dirname(pivotfit.__file__))
+    script = (
+        "import sys; from pivotfit.cli import main; "
+        "code = main(sys.argv[1:]); print(code, 'multiprocessing' in sys.modules)"
+    )
+    argv = ["pipeline", "--input", "raw.csv", "--outdir", "out", "--step", "2", "--scale", "40"]
+    argv += ["--population", "8", "--generations", "2", "--workers", str(workers)]
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.stdout == f"0 {imported}\n", done.stderr
+
+
+@pytest.mark.filterwarnings("ignore:yield point coincides")
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # on the record the CI step "Installed console script" writes
+    peaks = [0.0, 1.5, -1.5, 2.0, -2.0, 2.6, -2.6, 0.0]
+    d = np.concatenate([np.linspace(a, b, 60)[1:] for a, b in zip(peaks, peaks[1:])])
+    f = simulate(BACKBONE, PivotParams(10.0, 8.0, 0.7, 0.6, 40.0), d)
+    write_record(SignalPair(d, f), tmp_path / "raw.csv")
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        library = fh.read().split("\n## Library\n", 1)[1]
+    block = library.split("```python\n", 1)[1].split("\n```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md, Library", "exec"), {})

@@ -121,6 +121,9 @@ def test_validate_reports_each_violation():
     with pytest.raises(ValidationError) as err:
         validate(SignalPair(disp, load))
     assert len(err.value.problems) == 2
+    with pytest.raises(ValidationError) as err:
+        validate(SignalPair([0.0], [0.0]))
+    assert err.value.problems == ["too short: 1 samples, need at least 2"]
 
 
 @settings(max_examples=30, deadline=None)
@@ -356,10 +359,10 @@ def test_long_regular_file_matches_oracle(tmp_path):
 SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300, 0.1, 1 / 3]
 
 
-def assert_written_as_oracle(out, columns, delimiter=",", precision=9):
+def assert_written_as_oracle(out, columns, precision=9):
     header = [f"c{i}" for i in range(len(columns))]
-    write_columns(out / "new.csv", header, columns, delimiter, precision)
-    write_columns_oracle(out / "old.csv", header, columns, delimiter, precision)
+    write_columns(out / "new.csv", header, columns, precision)
+    write_columns_oracle(out / "old.csv", header, columns, precision)
     assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
 
 
@@ -367,16 +370,15 @@ def assert_written_as_oracle(out, columns, delimiter=",", precision=9):
 @given(
     st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=30),
     st.sampled_from([3, 9, 17]),
-    st.sampled_from([",", "\t", "{}", "%", "%%", "%s"]),
 )
-def test_write_columns_matches_per_value_oracle(tmp_path_factory, values, precision, delimiter):
+def test_write_columns_matches_per_value_oracle(tmp_path_factory, values, precision):
     floats = np.array(SPECIAL + values)
     columns = [floats, np.arange(floats.size) - 7, (np.arange(floats.size) / 7).astype(np.float32)]
     out = tmp_path_factory.mktemp("w")
     for cols in (columns, columns[:1], []):
-        assert_written_as_oracle(out, cols, delimiter, precision)
+        assert_written_as_oracle(out, cols, precision)
     with pytest.raises(ValueError, match=rf"differ in length: \[{floats.size}, 3\]"):
-        write_columns(out / "unequal.csv", ["a", "b"], [floats, floats[:3]], delimiter, precision)
+        write_columns(out / "unequal.csv", ["a", "b"], [floats, floats[:3]], precision)
     assert not (out / "unequal.csv").exists()
 
 
@@ -399,11 +401,10 @@ def test_block_writer_row_counts_match_oracle(tmp_path, rows):
     assert len((tmp_path / "new.csv").read_text().splitlines()) == rows + 1
 
 
-@pytest.mark.parametrize("delimiter", [",", "\t", "%", "%%", "%s", "{}"])
 @pytest.mark.parametrize("precision", [1, 9, 17])
-def test_block_writer_delimiters_and_precisions_match_oracle(tmp_path, delimiter, precision):
+def test_block_writer_precisions_match_oracle(tmp_path, precision):
     values = np.array(SPECIAL + [np.nan, np.inf, -np.inf, 123456.789, 0.5, 9.5] * 700)
-    assert_written_as_oracle(tmp_path, [values, values[::-1]], delimiter, precision)
+    assert_written_as_oracle(tmp_path, [values, values[::-1]], precision)
 
 
 INT64 = np.arange(B + 9, dtype=np.int64) * 977_003 - 2**62 - 1

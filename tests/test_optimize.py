@@ -4,6 +4,7 @@ import os
 import signal
 import time
 from contextlib import contextmanager
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from oracles import breed_loop_oracle, score_loop_oracle as loop_oracle
 def test_score_identical_is_zero():
     a = np.linspace(-3, 7, 50)
     assert deviation_score(a, a.copy()) == 0.0
+    assert deviation_score([], []) == 0.0
 
 
 def test_score_hand_value():
@@ -122,12 +124,12 @@ def test_evaluate_zero_record(symmetric_backbone):
 def test_perturbing_each_parameter_increases_score(round_trip_record):
     record, backbone, truth = round_trip_record
     base = deviation_score(simulate(backbone, truth, record.displacement), record.load)
-    arr = truth.as_array()
+    arr = np.array(astuple(truth))
     for i in range(5):
         for factor in (0.85, 1.15):
             p = arr.copy()
             p[i] *= factor
-            response = simulate(backbone, PivotParams.from_array(p), record.displacement)
+            response = simulate(backbone, PivotParams(*p.tolist()), record.displacement)
             assert deviation_score(response, record.load) > base
 
 
@@ -140,12 +142,12 @@ def test_score_population_matches_per_genome_scores(round_trip_record):
     random_rows = lo + rng.random((20, 5)) * (hi - lo)
     corners = np.array(list(itertools.product(*zip(lo, hi))))  # every lo/hi corner
     repeated = random_rows[[3, 3]]
-    genes = np.vstack([random_rows, corners, repeated, truth.as_array()])
+    genes = np.vstack([random_rows, corners, repeated, astuple(truth)])
     history = History(backbone, record.displacement)
     got = _score_population(history, record.load, genes)
     expected = [
         deviation_score(
-            simulate(backbone, PivotParams.from_array(g), record.displacement),
+            simulate(backbone, PivotParams(*g.tolist()), record.displacement),
             record.load,
         )
         for g in genes
@@ -436,7 +438,7 @@ def test_fit_names_a_candidate_it_cannot_simulate(underflow_record, workers, see
     failing = []
     for i, g in enumerate(genes):
         try:
-            simulate(backbone, PivotParams.from_array(g), record.displacement)
+            simulate(backbone, PivotParams(*g.tolist()), record.displacement)
         except ZeroDivisionError:
             failing.append(i)
     assert failing, "the first generation holds a candidate the engine cannot run"
@@ -444,7 +446,7 @@ def test_fit_names_a_candidate_it_cannot_simulate(underflow_record, workers, see
         main_slice = len(np.array_split(genes, workers)[0])
         assert (failing[0] < main_slice) == (seed == 0)
     message = (
-        f"the engine cannot simulate {PivotParams.from_array(genes[failing[0]])}: "
+        f"the engine cannot simulate {PivotParams(*genes[failing[0]].tolist())}: "
         "a degraded elastic slope underflows to 0"
     )
     with pytest.raises(FitError) as caught:
@@ -469,6 +471,6 @@ def test_round_trip_recovery_quick(round_trip_record):
 def test_history_rows_shape(round_trip_record):
     record, backbone, _ = round_trip_record
     _, history = small_fit(record, backbone, max_generations=5)
-    rows = list(history.rows())
+    rows = [history.row(g) for g in range(1, len(history) + 1)]
     assert rows[0][0] == 1
     assert len(rows[0]) == 8

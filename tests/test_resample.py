@@ -219,6 +219,8 @@ def test_resample_rejects_bad_change_indices():
     pair = SignalPair([0.0, 0.5, 1.0], [0.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="end at 3"):
         irregular_resample(pair, 20, np.array([2]))
+    with pytest.raises(ValueError, match="non-empty 1-d array"):
+        irregular_resample(pair, 20, [])
 
 
 def test_resample_reports_non_monotonic_segment():
@@ -227,6 +229,10 @@ def test_resample_reports_non_monotonic_segment():
     load = np.arange(4.0)
     with pytest.raises(SegmentError, match="segment 1"):
         irregular_resample(SignalPair(disp, load), 100, np.array([3, 4]))
+    # a falling segment with a rise in it
+    falling = SignalPair([0.0, -0.2, -0.1, -0.3], load)
+    with pytest.raises(SegmentError, match="not strictly decreasing after flooring"):
+        irregular_resample(falling, 20, [4])
 
 
 def test_resample_sub_cell_wiggle_is_skipped():
@@ -246,3 +252,6 @@ def test_resample_empty_output_is_error():
     pair = SignalPair([0.0, 0.001, 0.0], [0.0, 1.0, 0.0])
     with pytest.raises(ValueError, match="empty"):
         irregular_resample(pair, 100, detect_reversals(pair.displacement))
+    one_cell = SignalPair([0.0, 0.05], [0.0, 1.0])  # one sample on the scale-20 grid
+    with pytest.raises(ValueError, match="fewer than 2 samples"):
+        irregular_resample(one_cell, 20, [2])
