@@ -1,18 +1,18 @@
 """Reading, validating and writing paired load-deformation records.
 
 Records are delimiter-separated text with two designated numeric columns
-(displacement and load). An optional single header line is auto-detected:
-if no designated cell of the first row parses as a number, the row is
-treated as a header and skipped; a first row with one numeric designated
-cell is data and must parse in full. Units are metadata only and are
-never converted.
+(displacement and load). An optional single header line is detected
+once per file: if no designated cell of the first non-blank row parses
+as a number, that row is a header and every read route skips it; a first
+row with one numeric designated cell is data and must parse in full.
+Units are metadata only and are never converted.
 
-Files are read by numpy's C text reader (``np.loadtxt``) from one of
-two sources: the path itself, when the delimiter is one non-whitespace
-character, or else (and when numpy refuses the path) the file's
-stripped, non-blank lines. Where numpy accepts a cell its value is
-``float(cell)``. A file numpy refuses from both sources, and any file
-with a multi-character delimiter, is walked line by line; the walk
+The file is opened once and read by numpy's C text reader
+(``np.loadtxt``) from the path itself, when the delimiter is one
+non-whitespace character, or else (and when numpy refuses the path) from
+the file's stripped, non-blank lines. Where numpy accepts a cell its
+value is ``float(cell)``. A file numpy refuses from both sources, and any
+file with a multi-character delimiter, is walked line by line; the walk
 yields the same arrays, or raises ParseError naming the first bad line.
 A byte that is not UTF-8 raises ParseError naming its line. Memory
 follows the parsed columns, not the text. Writers write comma-separated
@@ -137,7 +137,10 @@ def _is_header(line: str, delimiter: str, needed) -> bool:
 
 def _loadtxt(source, skiprows, delimiter, columns):
     """The designated columns of ``source`` as an (n, 2) array from
-    numpy's C reader, or None if numpy refuses the source or warns."""
+    numpy's C reader, or None if numpy refuses the source or warns. A
+    cell numpy accepts parses as ``float(cell)`` (both call
+    ``PyOS_string_to_double``); one only ``float`` takes (``1_0``) is
+    refused."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -156,47 +159,14 @@ def _loadtxt(source, skiprows, delimiter, columns):
         return None
 
 
-def _read_table(path, delimiter, columns):
-    """The designated columns as an (n, 2) array read by numpy, or None
-    if numpy refuses the file.
-
-    Where numpy accepts a cell its value is ``float(cell)``: both parse
-    with ``PyOS_string_to_double``, and a cell only ``float`` accepts
-    (``1_0``, non-ASCII digits) makes numpy refuse the file.
-    """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh):
-            if line := raw.strip():
-                break
-        else:
-            return None
-        header = int(_is_header(line, delimiter, columns))
-    # The path is the fast source: numpy reads the file in chunks. It
-    # gives the walk's cells only where stripping a line cannot move a
-    # cell boundary, so not for a whitespace delimiter. The stripped lines
-    # serve that case and whitespace-only lines, which numpy refuses.
-    if not delimiter.isspace() and os.path.splitext(path)[1] not in _ARCHIVE_SUFFIXES:
-        # absolute, so numpy cannot take the path for a URL
-        table = _loadtxt(os.path.abspath(path), lineno + header, delimiter, columns)
-        if table is not None:
-            return table
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return _loadtxt(filter(None, map(str.strip, fh)), header, delimiter, columns)
-
-
-def _walk_lines(fh, path, delimiter, displacement_column, load_column, ncols):
-    """Both designated columns parsed line by line; raises ParseError at
-    the first line that breaks the format."""
+def _walk_lines(fh, path, delimiter, displacement_column, load_column, ncols, skip):
+    """Both designated columns parsed line by line after the first
+    ``skip`` lines; raises ParseError at the first line that breaks the format."""
     disp, load = [], []
-    first_line = True
     for lineno, raw in enumerate(fh, start=1):
         line = raw.strip()
-        if not line:
+        if not line or lineno <= skip:
             continue
-        if first_line:
-            first_line = False
-            if _is_header(line, delimiter, (displacement_column, load_column)):
-                continue
         cells = [c.strip() for c in line.split(delimiter)]
         if len(cells) < ncols:
             raise ParseError(
@@ -255,25 +225,41 @@ def load_record(
     # column c >= 0 is cell c + 1 of a line, column c < 0 is cell -c from its end
     ncols = max(c + 1 if c >= 0 else -c for c in columns)
     try:
-        table = _read_table(path, delimiter, columns) if len(delimiter) == 1 else None
-        if table is not None:
-            disp, load = table.T.copy()  # each column contiguous, as the walk's
-        else:
-            with open(path, "r", encoding="utf-8-sig") as fh:
-                disp, load = _walk_lines(fh, path, delimiter, *columns, ncols)
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            # the one header sniff: every route skips the first ``skip``
+            # lines, those before the first non-blank line and a header
+            skip, header, table = 0, None, None
+            for lineno, raw in enumerate(fh):
+                if line := raw.strip():
+                    header = int(_is_header(line, delimiter, columns))
+                    skip = lineno + header
+                    break
+            # The path is the fast source: numpy reads the file in chunks.
+            # It gives the walk's cells only where stripping a line cannot
+            # move a cell boundary, so not for a whitespace delimiter. The
+            # stripped lines serve that case and whitespace-only lines,
+            # which numpy refuses. A file with no non-blank line is walked.
+            if header is not None and len(delimiter) == 1:
+                suffix = os.path.splitext(path)[1]
+                if not delimiter.isspace() and suffix not in _ARCHIVE_SUFFIXES:
+                    # absolute, so numpy cannot take the path for a URL
+                    table = _loadtxt(os.path.abspath(path), skip, delimiter, columns)
+                if table is None:
+                    fh.seek(0)
+                    lines = filter(None, map(str.strip, fh))
+                    table = _loadtxt(lines, header, delimiter, columns)
+            if table is not None:
+                disp, load = table.T.copy()  # each column contiguous, as the walk's
+            else:
+                fh.seek(0)
+                disp, load = _walk_lines(fh, path, delimiter, *columns, ncols, skip)
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     if len(disp) < 2:
         raise ParseError(
             f"too short: found {len(disp)} data rows, need at least 2", path=path
         )
-    pair = SignalPair(
-        disp,
-        load,
-        displacement_unit=displacement_unit,
-        load_unit=load_unit,
-    )
-    return validate(pair)
+    return validate(SignalPair(disp, load, displacement_unit, load_unit))
 
 
 def format_number(x: float, precision: int = OUTPUT_PRECISION) -> str:

@@ -61,6 +61,10 @@ class ParamBounds:
         return np.array([getattr(self, n)[1] for n in PARAM_NAMES])
 
     def validate(self):
+        for name in PARAM_NAMES:
+            value = getattr(self, name)
+            if np.shape(value) != (2,):
+                raise ValueError(f"{name} bounds must be a (lo, hi) pair, got {value!r}")
         lo, hi = self.lower(), self.upper()
         try:  # a box is admissible when both of its corners are
             PivotParams(*lo.tolist()), PivotParams(*hi.tolist())

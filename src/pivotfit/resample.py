@@ -3,8 +3,10 @@
 Two stages: a regular reduction that keeps every m-th sample, and an
 irregular resampling that re-grids each monotonic displacement segment
 onto integer multiples of 1/scale via linear interpolation of load over
-displacement. Segments end at reversals, found by ``sign_flips``: the
-one rule that also cuts the backbone's half-cycles and the engine's runs.
+displacement. Rising and falling segments take one code path, and a
+segment that is not monotone after flooring raises SegmentError.
+Segments end at reversals, found by ``sign_flips``: the one rule that
+also cuts the backbone's half-cycles and the engine's runs.
 """
 
 from __future__ import annotations
@@ -76,13 +78,6 @@ def _snap_floor(scaled: np.ndarray) -> np.ndarray:
     return np.floor(snapped)
 
 
-def _unique_first(values: np.ndarray):
-    """Unique values in encounter order, keeping first occurrences."""
-    _, first = np.unique(values, return_index=True)
-    first.sort()
-    return values[first], first
-
-
 def irregular_resample(pair: SignalPair, scale: int, changes) -> SignalPair:
     """Re-grid a record to uniform displacement increments of 1/scale.
 
@@ -90,15 +85,16 @@ def irregular_resample(pair: SignalPair, scale: int, changes) -> SignalPair:
     displacement trace with the final sample index appended (the output
     of :func:`detect_reversals`). Both arrays are multiplied by
     ``scale``; displacements are floored toward negative infinity; each
-    monotonic segment is queried on the integer grid from the previous
-    endpoint to the segment end (ascending for rising segments,
-    descending for falling), duplicates keeping first occurrence; load is
-    linearly interpolated over displacement at the query points; the
-    concatenated result is divided back by ``scale``.
+    segment is queried on the integer grid from the previous endpoint to
+    the segment end in its own direction, each floored value keeping its
+    first sample; load is linearly interpolated over displacement at the
+    query points; the concatenated result is divided back by ``scale``.
 
     A segment whose endpoint equals the running previous endpoint after
-    flooring contributes no points. Within every contributed segment the
-    displacement increment is 1/scale with constant sign.
+    flooring contributes no points; any other segment that is not
+    strictly monotone after flooring raises SegmentError. Within every
+    contributed segment the displacement increment is 1/scale with
+    constant sign.
     """
     if int(scale) != scale or scale <= 10:
         raise ValueError(f"resampling scale must be an integer > 10, got {scale}")
@@ -118,8 +114,7 @@ def irregular_resample(pair: SignalPair, scale: int, changes) -> SignalPair:
     disp = _snap_floor(pair.displacement * scale)
     load = pair.load * scale
 
-    out_disp = []
-    out_load = []
+    out_disp, out_load = [], []
     first_val = disp[0]
     first_idx = 0  # 0-based index of the running previous endpoint
     for seg, target in enumerate(changes, start=1):
@@ -127,26 +122,19 @@ def irregular_resample(pair: SignalPair, scale: int, changes) -> SignalPair:
         last_val = disp[last_idx]
         if last_val == first_val:
             continue  # segment shorter than one grid cell
-        rising = last_val > first_val
-        if rising:
-            queries = np.arange(first_val + 1, last_val + 1)
-        else:
-            queries = np.arange(first_val - 1, last_val - 1, -1)
+        s = 1 if last_val > first_val else -1
         seg_disp = disp[first_idx : last_idx + 1]
-        seg_load = load[first_idx : last_idx + 1]
-        uniq, first_occurrence = _unique_first(seg_disp)
-        uniq_load = seg_load[first_occurrence]
-        diffs = np.diff(uniq)
-        if rising and not np.all(diffs > 0):
-            raise SegmentError(seg, "displacements not strictly increasing after flooring")
-        if not rising and not np.all(diffs < 0):
-            raise SegmentError(seg, "displacements not strictly decreasing after flooring")
-        if rising:
-            interp = np.interp(queries, uniq, uniq_load)
-        else:
-            interp = np.interp(queries, uniq[::-1], uniq_load[::-1])
+        # the first sample of each run of equal floored values
+        kept = np.flatnonzero(np.append(True, seg_disp[1:] != seg_disp[:-1]))
+        xp, fp = seg_disp[kept], load[first_idx + kept]
+        if not np.all(np.diff(xp) * s > 0):
+            trend = "increasing" if s > 0 else "decreasing"
+            raise SegmentError(seg, f"displacements not strictly {trend} after flooring")
+        if s < 0:
+            xp, fp = xp[::-1], fp[::-1]  # np.interp needs rising xp
+        queries = np.arange(first_val + s, last_val + s, s)
         out_disp.append(queries)
-        out_load.append(interp)
+        out_load.append(np.interp(queries, xp, fp))
         first_idx = last_idx
         first_val = last_val
 

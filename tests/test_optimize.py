@@ -204,6 +204,16 @@ def test_config_validation():
 
 @pytest.mark.parametrize(
     "name, value",
+    [("alpha1", (1,)), ("eta", 5.0), ("beta1", (0.0, 0.5, 1.0))],
+    ids=["one_number", "bare_number", "three_numbers"],
+)
+def test_config_bounds_must_be_pairs(name, value):
+    with pytest.raises(ValueError, match=rf"{name} bounds must be a \(lo, hi\) pair"):
+        GAConfig(bounds=ParamBounds(**{name: value})).validate()
+
+
+@pytest.mark.parametrize(
+    "name, value",
     [
         ("population_size", 6.0),
         ("max_generations", 2.5),

@@ -233,6 +233,14 @@ def test_resample_reports_non_monotonic_segment():
     falling = SignalPair([0.0, -0.2, -0.1, -0.3], load)
     with pytest.raises(SegmentError, match="not strictly decreasing after flooring"):
         irregular_resample(falling, 20, [4])
+    # a floored value that dips and recovers inside a rising or a falling
+    # segment: keeping each value's first sample would hide the dip
+    dips = SignalPair([0.25, 0.30, 0.25, 0.35], load)
+    with pytest.raises(SegmentError, match="not strictly increasing after flooring"):
+        irregular_resample(dips, 20, [4])
+    bumps = SignalPair([0.35, 0.30, 0.35, 0.25], load)
+    with pytest.raises(SegmentError, match="not strictly decreasing after flooring"):
+        irregular_resample(bumps, 20, [4])
 
 
 def test_resample_sub_cell_wiggle_is_skipped():
