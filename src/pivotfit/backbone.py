@@ -51,7 +51,9 @@ class IdealizedBackbone:
     Points 1-3 describe the negative side (ultimate displacement,
     extreme load, elastic limit), points 5-7 mirror them on the positive
     side. ``yield_equals_peak_positive``/``negative`` flag the degenerate
-    case where the elastic-limit scan stopped at the extreme-load point.
+    case where the elastic-limit point is the extreme-load point (point 5
+    equals point 6, point 3 equals point 2); they are derived from the
+    points, so a backbone rebuilt from ``idealized.csv`` carries them.
 
     The one backbone value of the package: ``idealize`` returns it, and
     the Pivot engine reads its yield points (``dy_*``, ``fy_*``),
@@ -64,8 +66,6 @@ class IdealizedBackbone:
 
     displacement: np.ndarray
     load: np.ndarray
-    yield_equals_peak_positive: bool = False
-    yield_equals_peak_negative: bool = False
 
     def __post_init__(self):
         d = np.array(self.displacement, dtype=float)
@@ -94,16 +94,13 @@ class IdealizedBackbone:
         vars(self).update(
             k_pos=k_pos, k_neg=k_neg, fy_pos=fy_pos, fy_neg=fy_neg,
             dy_pos=dy_pos, dy_neg=dy_neg, f_dy_pos=f_dy_pos, f_dy_neg=f_dy_neg,
+            yield_equals_peak_positive=(d[4], f[4]) == (d[5], f[5]),
+            yield_equals_peak_negative=(d[2], f[2]) == (d[1], f[1]),
         )
 
     def __reduce__(self):
         # rebuilt through the constructor, so its arrays stay read-only
-        return type(self), (
-            self.displacement,
-            self.load,
-            self.yield_equals_peak_positive,
-            self.yield_equals_peak_negative,
-        )
+        return type(self), (self.displacement, self.load)
 
     def envelope_at(self, d: np.ndarray) -> np.ndarray:
         """Piecewise-linear backbone load at every displacement of d,
@@ -229,8 +226,8 @@ def idealize(env: EnvelopeCurve) -> IdealizedBackbone:
     out_d[4], out_f[4] = d[i_yield_pos], f[i_yield_pos]
     out_d[2], out_f[2] = d[i_yield_neg], f[i_yield_neg]
 
-    yep = i_yield_pos == i_fmax
-    yen = i_yield_neg == i_fmin
+    ideal = IdealizedBackbone(out_d, out_f)
+    yep, yen = ideal.yield_equals_peak_positive, ideal.yield_equals_peak_negative
     if yep or yen:
         sides = " and ".join(
             s for s, hit in (("positive", yep), ("negative", yen)) if hit
@@ -240,9 +237,4 @@ def idealize(env: EnvelopeCurve) -> IdealizedBackbone:
             stacklevel=2,
         )
 
-    return IdealizedBackbone(
-        out_d,
-        out_f,
-        yield_equals_peak_positive=yep,
-        yield_equals_peak_negative=yen,
-    )
+    return ideal

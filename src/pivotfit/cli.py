@@ -32,6 +32,7 @@ from pivotfit.ingest import (
     ValidationError,
     format_number,
     load_record,
+    open_text,
     write_columns,
     write_record,
 )
@@ -82,7 +83,7 @@ class PipelineConfig:
 
 
 def _load_config_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValidationError([f"config file {path} must hold a JSON object"])
@@ -182,10 +183,7 @@ def _manifest(cfg: PipelineConfig, command: str) -> dict:
 
 
 class _StageFailure(Exception):
-    def __init__(self, stage, original):
-        self.stage = stage
-        self.original = original
-        super().__init__(f"stage '{stage}': {original}")
+    """A stage's error tagged with the stage name; its cause is the error."""
 
 
 @contextmanager
@@ -194,7 +192,7 @@ def _stage(name):
     try:
         yield
     except Exception as exc:
-        raise _StageFailure(name, exc) from exc
+        raise _StageFailure(f"stage '{name}': {exc}") from exc
 
 
 def cmd_resample(cfg: PipelineConfig) -> None:
@@ -248,7 +246,7 @@ def _read_idealized(cfg: PipelineConfig) -> IdealizedBackbone:
 
 def _read_params_file(path) -> PivotParams:
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -410,8 +408,11 @@ def main(argv=None) -> int:
         warnings.simplefilter("default")
         try:
             cfg = resolve_config(args)
-            if cfg.precision < 1:  # checked before any stage writes a file
+            # checked before any stage writes a file
+            if cfg.precision < 1:
                 raise ValueError(f"precision must be at least 1, got {cfg.precision}")
+            if not cfg.outdir:
+                raise ValueError(f"outdir must not be empty, got {cfg.outdir!r}")
             if args.command in ("fit", "pipeline"):
                 cfg.ga_config().validate()
             manifest = _manifest(cfg, args.command)  # of the input as read
@@ -437,7 +438,7 @@ def main(argv=None) -> int:
             return 130
         except Exception as exc:
             print(f"pivotfit: {exc}", file=sys.stderr)
-            cause = exc.original if isinstance(exc, _StageFailure) else exc
+            cause = exc.__cause__ if isinstance(exc, _StageFailure) else exc
             if isinstance(cause, FitError):
                 return EXIT_OPTIMIZATION
             if isinstance(cause, OSError):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -203,6 +204,17 @@ def _not_utf8(path) -> ParseError:
     return ParseError("not UTF-8 text", path=path)  # changed since it was read
 
 
+@contextmanager
+def open_text(path):
+    """``path`` opened to read as UTF-8 text, a leading byte order mark
+    dropped; a byte that is not UTF-8 raises ParseError naming its line."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
 def load_record(
     path,
     delimiter: str = ",",
@@ -224,37 +236,34 @@ def load_record(
     columns = (displacement_column, load_column)
     # column c >= 0 is cell c + 1 of a line, column c < 0 is cell -c from its end
     ncols = max(c + 1 if c >= 0 else -c for c in columns)
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            # the one header sniff: every route skips the first ``skip``
-            # lines, those before the first non-blank line and a header
-            skip, header, table = 0, None, None
-            for lineno, raw in enumerate(fh):
-                if line := raw.strip():
-                    header = int(_is_header(line, delimiter, columns))
-                    skip = lineno + header
-                    break
-            # The path is the fast source: numpy reads the file in chunks.
-            # It gives the walk's cells only where stripping a line cannot
-            # move a cell boundary, so not for a whitespace delimiter. The
-            # stripped lines serve that case and whitespace-only lines,
-            # which numpy refuses. A file with no non-blank line is walked.
-            if header is not None and len(delimiter) == 1:
-                suffix = os.path.splitext(path)[1]
-                if not delimiter.isspace() and suffix not in _ARCHIVE_SUFFIXES:
-                    # absolute, so numpy cannot take the path for a URL
-                    table = _loadtxt(os.path.abspath(path), skip, delimiter, columns)
-                if table is None:
-                    fh.seek(0)
-                    lines = filter(None, map(str.strip, fh))
-                    table = _loadtxt(lines, header, delimiter, columns)
-            if table is not None:
-                disp, load = table.T.copy()  # each column contiguous, as the walk's
-            else:
+    with open_text(path) as fh:
+        # the one header sniff: every route skips the first ``skip``
+        # lines, those before the first non-blank line and a header
+        skip, header, table = 0, None, None
+        for lineno, raw in enumerate(fh):
+            if line := raw.strip():
+                header = int(_is_header(line, delimiter, columns))
+                skip = lineno + header
+                break
+        # The path is the fast source: numpy reads the file in chunks.
+        # It gives the walk's cells only where stripping a line cannot
+        # move a cell boundary, so not for a whitespace delimiter. The
+        # stripped lines serve that case and whitespace-only lines,
+        # which numpy refuses. A file with no non-blank line is walked.
+        if header is not None and len(delimiter) == 1:
+            suffix = os.path.splitext(path)[1]
+            if not delimiter.isspace() and suffix not in _ARCHIVE_SUFFIXES:
+                # absolute, so numpy cannot take the path for a URL
+                table = _loadtxt(os.path.abspath(path), skip, delimiter, columns)
+            if table is None:
                 fh.seek(0)
-                disp, load = _walk_lines(fh, path, delimiter, *columns, ncols, skip)
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+                lines = filter(None, map(str.strip, fh))
+                table = _loadtxt(lines, header, delimiter, columns)
+        if table is not None:
+            disp, load = table.T.copy()  # each column contiguous, as the walk's
+        else:
+            fh.seek(0)
+            disp, load = _walk_lines(fh, path, delimiter, *columns, ncols, skip)
     if len(disp) < 2:
         raise ParseError(
             f"too short: found {len(disp)} data rows, need at least 2", path=path

@@ -170,49 +170,44 @@ def _score_population(history: History, load, genes) -> np.ndarray:
     return scores
 
 
-def _scores_or_error(history, load, genes):
-    """``_score_population``, or the exception it raised, held so that
-    every slice of a generation is in before the first error is raised."""
-    try:
-        return _score_population(history, load, genes)
-    except Exception as exc:
-        return exc
-
-
 def _score_worker(conn, history, load):
     """A forked child: receive the prepared history and the load record
     once, as process arguments, then score each slice that arrives over
-    ``conn`` until the sentinel ``None``."""
+    ``conn`` until the sentinel ``None``. It sends back the slice's
+    scores, or the exception that stopped them."""
     while (genes := conn.recv()) is not None:
-        conn.send(_scores_or_error(history, load, genes))
+        try:
+            reply = _score_population(history, load, genes)
+        except Exception as exc:
+            reply = exc
+        conn.send(reply)
 
 
 def _score_generation(children, history, load, genes):
     """Scores of a generation cut into one contiguous slice per process:
     the main process scores the first and each child one other (a serial
-    fit has no children). The first error in population order is raised
-    once every reply is in; a child that died is named with its exit code."""
+    fit has no children). Replies are read in population order, and the
+    first error met is raised at once: a child that died is named with
+    its exit code. On any error the children are terminated."""
     parts = np.array_split(genes, len(children) + 1)
     try:
         for (_, conn), part in zip(children, parts[1:]):
             with suppress(OSError):  # a dead child's pipe: its receive reports it
                 conn.send(part)
-        replies = [_scores_or_error(history, load, parts[0])]
+        replies = [_score_population(history, load, parts[0])]
         for child, conn in children:
             try:
-                replies.append(conn.recv())
+                reply = conn.recv()
             except (EOFError, OSError):
                 child.join()
-                replies.append(
-                    RuntimeError(f"{child.name} exited with code {child.exitcode}")
-                )
+                raise RuntimeError(f"{child.name} exited with code {child.exitcode}") from None
+            if isinstance(reply, Exception):
+                raise reply
+            replies.append(reply)
     except BaseException:  # a child may still be scoring: do not wait for it
         for child, _ in children:
             child.terminate()
         raise
-    for reply in replies:
-        if isinstance(reply, Exception):
-            raise reply
     return np.concatenate(replies)
 
 

@@ -306,7 +306,9 @@ class History:
     """
 
     def __init__(self, backbone: IdealizedBackbone, displacements):
-        x = np.array(displacements, dtype=float).ravel()
+        x = np.array(displacements, dtype=float)
+        if x.ndim != 1:
+            raise ValueError(f"displacements must be 1-d, got shape {x.shape}")
         finite = np.isfinite(x)
         if not finite.all():
             bad = x[np.argmin(finite)]
@@ -379,8 +381,8 @@ def simulate(backbone, params: PivotParams, displacements) -> np.ndarray:
 
     Starts from the virgin state; output has one load per input
     displacement. Deterministic: identical inputs give identical
-    outputs. ``displacements`` is an array, or a ``History`` prepared on
-    the same ``IdealizedBackbone`` object as ``backbone``.
+    outputs. ``displacements`` is a 1-d array, or a ``History``
+    prepared on the same ``IdealizedBackbone`` object as ``backbone``.
     """
     history = displacements
     if not isinstance(history, History):

@@ -122,6 +122,21 @@ def test_idealize_hand_example_degenerate_yield():
     assert any("coincides" in str(w.message) for w in caught)
 
 
+def test_a_backbone_rebuilt_from_its_points_keeps_its_flags():
+    for d, f, flags in (
+        ([-3, -2, -1, 1, 2, 3], [-12, -14, -9, 8, 13, 11], (True, True)),
+        ([-4, -3, -1, 1, 2, 4, 5], [-10, -16, -8, 7, 11, 16, 12], (False, True)),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ib = idealize(EnvelopeCurve(d, f))
+        # as the CLI rebuilds it from idealized.csv, and a GA worker from a pickle
+        rebuilt = IdealizedBackbone(ib.displacement.tolist(), ib.load.tolist())
+        for bb in (ib, rebuilt, pickle.loads(pickle.dumps(ib))):
+            got = (bb.yield_equals_peak_positive, bb.yield_equals_peak_negative)
+            assert got == flags and all(type(flag) is bool for flag in got)
+
+
 def test_idealize_hand_example_non_degenerate_positive():
     env = EnvelopeCurve([-4, -3, -1, 1, 2, 4, 5], [-10, -16, -8, 7, 11, 16, 12])
     with warnings.catch_warnings():

@@ -173,15 +173,41 @@ def test_params_file_rejects_a_repeated_parameter(tmp_path, capsys):
         ("alpha1 10\n", "line 1: expected '<param>=<value>'"),
         ("alpha1=ten\n", "line 1: non-numeric value 'ten'"),
         ("alpha1=10\n", "missing parameters: alpha2, beta1, beta2, eta"),
+        ("# caf\u00e9\nalpha1=10\n", "line 1: byte 0xe9 is not UTF-8 text"),
     ],
-    ids=["no_equals_sign", "non_numeric", "missing"],
+    ids=["no_equals_sign", "non_numeric", "missing", "not_utf8"],
 )
 def test_params_file_format_errors_are_named(tmp_path, capsys, text, message):
     params = tmp_path / "params.txt"
-    params.write_text(text)
+    params.write_bytes(text.encode("latin-1"))
     argv = ["simulate", "--outdir", str(tmp_path), "--params", str(params)]
     assert main(argv) == 1
     assert f"{params}: {message}" in capsys.readouterr().err
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def test_params_file_with_a_bom_simulates_as_without(workdir):
+    tmp, raw, out, config = workdir
+    for command in ("resample", "backbone"):
+        assert main([command, "--config", str(config)]) == 0
+    text = b"alpha1=10\nalpha2=8\nbeta1=0.7\nbeta2=0.6\neta=40\n"
+    responses = []
+    for name, data in (("plain.txt", text), ("bom.txt", BOM + text)):
+        (tmp / name).write_bytes(data)
+        assert main(["simulate", "--config", str(config), "--params", str(tmp / name)]) == 0
+        responses.append((out / "response.csv").read_bytes())
+    assert responses[0] == responses[1]
+
+
+def test_config_file_with_a_bom_runs_as_without(workdir):
+    tmp, raw, out, config = workdir
+    config.write_bytes(BOM + config.read_bytes())
+    assert main(["resample", "--config", str(config)]) == 0
+    assert (out / "resampled.csv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["outdir"] == str(out)
 
 
 def test_simulate_self_consistency(workdir):
@@ -278,9 +304,12 @@ def _raise_keyboard_interrupt(*args, **kwargs):
         ("interrupt", 130, "interrupted; partial outputs flushed\n"),
         ("outdir_not_a_path", 1, "pivotfit: "),
         ("config_not_an_object", 1, "pivotfit: config file {config} must hold a JSON object\n"),
+        ("config_not_utf8", 1, "pivotfit: {config}: line 2: byte 0xe9 is not UTF-8 text\n"),
         ("unknown_config_key", 1, "pivotfit: unknown config file keys: colour\n"),
         ("unparsable_bounds", 1, "pivotfit: cannot parse bounds flag 'alpha1=a:b'"),
         ("no_input", 1, "pivotfit: stage 'resample': no input file given\n"),
+        ("empty_outdir_flag", 1, "pivotfit: outdir must not be empty, got ''\n"),
+        ("empty_outdir_in_config", 1, "pivotfit: outdir must not be empty, got ''\n"),
         ("bad_flag_value", 1, "usage: pivotfit pipeline "),
         ("unknown_command", 1, "usage: pivotfit "),
         ("no_arguments", 1, "usage: pivotfit "),
@@ -297,12 +326,18 @@ def test_exit_codes(workdir, monkeypatch, capsys, case, code, stderr):
         config.write_text(json.dumps({"input": str(raw), "outdir": 5}))
     elif case == "config_not_an_object":
         config.write_text(json.dumps([str(raw), str(out)]))
+    elif case == "config_not_utf8":  # latin-1, one key per line, "input" on line 2
+        text = json.dumps({"input": "caf\u00e9.csv"}, indent=1, ensure_ascii=False)
+        config.write_bytes(text.encode("latin-1"))
+    elif case == "empty_outdir_in_config":
+        config.write_text(json.dumps({"input": str(raw), "outdir": ""}))
     elif case == "unknown_config_key":
         config.write_text(json.dumps({"input": str(raw), "colour": "red"}))
     else:
         argv = {
             "unparsable_bounds": [*argv, "--bounds", "alpha1=a:b"],
             "no_input": ["resample", "--outdir", str(out)],
+            "empty_outdir_flag": [*argv, "--outdir", ""],
             "bad_flag_value": [*argv, "--step", "two"],
             "unknown_command": ["frobnicate"],
             "no_arguments": [],

@@ -427,6 +427,21 @@ def test_an_interrupt_while_children_score_terminates_them(round_trip_record, mo
     assert multiprocessing.active_children() == []
 
 
+def test_an_error_in_the_main_slice_stops_the_fit_at_once(round_trip_record, monkeypatch):
+    record, backbone, _ = round_trip_record
+    main_pid = os.getpid()
+
+    def fail_while_children_sleep(history, load, genes):
+        if os.getpid() != main_pid:
+            time.sleep(60)  # busy: the fit must not wait for its reply
+        raise FitError("the main slice failed")
+
+    monkeypatch.setattr(optimize, "_score_population", fail_while_children_sleep)
+    with deadline(10), pytest.raises(FitError, match="^the main slice failed$"):
+        small_fit(record, backbone, workers=3)
+    assert multiprocessing.active_children() == []
+
+
 # GA seed 0 fails first on genome 0, in the main process's slice. Seed
 # 133 fails first on genome 10, in the first child's slice on 2 and on 3
 # processes, and again on genome 14, in the second child's slice on 3.

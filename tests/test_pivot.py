@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -599,6 +600,14 @@ def test_history_survives_a_pickle_round_trip(asymmetric_backbone):
     arrays = (history.xs, history.envelope, history.keys, history.elastic)
     for array in (*arrays, g2.displacement, g2.load):
         assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (1, 4), ()], ids=["3x2", "1x4", "0-d"])
+def test_history_refuses_displacements_that_are_not_1d(symmetric_backbone, shape):
+    params = PivotParams(3, 3, 0.5, 0.5, 50)
+    message = f"displacements must be 1-d, got shape {re.escape(str(shape))}$"
+    with pytest.raises(ValueError, match=message):
+        simulate(symmetric_backbone, params, np.zeros(shape))
 
 
 def test_simulate_rejects_a_history_of_another_geometry(symmetric_backbone):
