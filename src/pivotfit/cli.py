@@ -29,6 +29,7 @@ from pivotfit.backbone import extract_envelope, idealize, IdealizedBackbone
 from pivotfit.ingest import (
     OUTPUT_PRECISION,
     ParseError,
+    SignalPair,
     ValidationError,
     format_number,
     load_record,
@@ -195,6 +196,14 @@ def _stage(name):
         raise _StageFailure(f"stage '{name}': {exc}") from exc
 
 
+def _write_curve(cfg: PipelineConfig, filename: str, curve) -> None:
+    """A record, envelope or backbone as a displacement,load file under
+    the run's unit labels."""
+    pair = SignalPair(curve.displacement, curve.load)
+    units = (cfg.displacement_unit, cfg.load_unit)
+    write_record(pair, cfg.path(filename), units=units, precision=cfg.precision)
+
+
 def cmd_resample(cfg: PipelineConfig) -> None:
     """input -> reduced.csv + resampled.csv"""
     with _stage("resample"):
@@ -205,8 +214,6 @@ def cmd_resample(cfg: PipelineConfig) -> None:
             delimiter=cfg.delimiter,
             displacement_column=cfg.displacement_column,
             load_column=cfg.load_column,
-            displacement_unit=cfg.displacement_unit,
-            load_unit=cfg.load_unit,
         )
         reduced = regular_reduce(raw, cfg.step)
         changes = detect_reversals(reduced.displacement)
@@ -214,8 +221,8 @@ def cmd_resample(cfg: PipelineConfig) -> None:
         # made here, so a refused or failed run leaves no output directory;
         # the other commands read their inputs from it
         os.makedirs(cfg.outdir, exist_ok=True)
-        write_record(reduced, cfg.path("reduced.csv"), precision=cfg.precision)
-        write_record(resampled, cfg.path("resampled.csv"), precision=cfg.precision)
+        _write_curve(cfg, "reduced.csv", reduced)
+        _write_curve(cfg, "resampled.csv", resampled)
 
 
 def cmd_backbone(cfg: PipelineConfig) -> None:
@@ -223,19 +230,8 @@ def cmd_backbone(cfg: PipelineConfig) -> None:
     with _stage("backbone"):
         resampled = load_record(cfg.path("resampled.csv"))
         env = extract_envelope(resampled)
-        write_columns(
-            cfg.path("envelope.csv"),
-            (f"displacement_{cfg.displacement_unit}", f"load_{cfg.load_unit}"),
-            (env.displacement, env.load),
-            precision=cfg.precision,
-        )
-        ideal = idealize(env)
-        write_columns(
-            cfg.path("idealized.csv"),
-            (f"displacement_{cfg.displacement_unit}", f"load_{cfg.load_unit}"),
-            (ideal.displacement, ideal.load),
-            precision=cfg.precision,
-        )
+        _write_curve(cfg, "envelope.csv", env)
+        _write_curve(cfg, "idealized.csv", idealize(env))
 
 
 def _read_idealized(cfg: PipelineConfig) -> IdealizedBackbone:

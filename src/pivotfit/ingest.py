@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,27 +54,29 @@ class ParseError(ValueError):
 class ValidationError(ValueError):
     """Raised when a record violates one or more invariants.
 
-    ``problems`` holds one message per violated invariant, each naming
-    the first offending index (0-based).
+    ``problems`` holds one message per violated invariant, naming the
+    first offending index (0-based) or the shape of a column not 1-d.
     """
 
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
 
+    def __reduce__(self):
+        return type(self), (self.problems,)
+
 
 @dataclass(frozen=True, eq=False)
 class SignalPair:
-    """Paired displacement/load histories.
+    """Paired displacement/load histories, as float arrays; their unit
+    labels are given to :func:`write_record`.
 
-    Invariants (checked by :func:`validate`): equal lengths, at least two
-    samples, every element finite.
+    Invariants (checked by :func:`validate`): both 1-d, equal lengths, at
+    least two samples, every element finite.
     """
 
     displacement: np.ndarray
     load: np.ndarray
-    displacement_unit: str = "mm"
-    load_unit: str = "kN"
 
     def __post_init__(self):
         object.__setattr__(
@@ -85,19 +87,18 @@ class SignalPair:
     def __len__(self):
         return self.displacement.shape[0]
 
-    def with_arrays(self, displacement, load) -> "SignalPair":
-        """New pair with the same unit metadata but different samples."""
-        return replace(self, displacement=displacement, load=load)
-
 
 def validate(pair: SignalPair) -> SignalPair:
     """Check all SignalPair invariants, returning the pair unmodified.
 
-    Raises ValidationError carrying one message per violated invariant;
-    each message names the first offending index. Idempotent and free of
-    side effects.
+    Raises ValidationError carrying one message per violated invariant,
+    naming the shape of a column that is not 1-d (no other check runs
+    then), else the first offending index. Idempotent and side-effect free.
     """
-    problems = []
+    columns = (("displacement", pair.displacement), ("load", pair.load))
+    problems = [f"{n} must be 1-d, got shape {a.shape}" for n, a in columns if a.ndim != 1]
+    if problems:  # the checks below read a 1-d length
+        raise ValidationError(problems)
     nd = pair.displacement.shape[0]
     nl = pair.load.shape[0]
     if nd != nl:
@@ -106,7 +107,7 @@ def validate(pair: SignalPair) -> SignalPair:
         )
     if min(nd, nl) < 2:
         problems.append(f"too short: {min(nd, nl)} samples, need at least 2")
-    for name, arr in (("displacement", pair.displacement), ("load", pair.load)):
+    for name, arr in columns:
         finite = np.isfinite(arr)
         if not finite.all():
             idx = int(np.argmin(finite))
@@ -220,8 +221,6 @@ def load_record(
     delimiter: str = ",",
     displacement_column: int = 0,
     load_column: int = 1,
-    displacement_unit: str = "mm",
-    load_unit: str = "kN",
 ) -> SignalPair:
     """Read a delimiter-separated record into a validated SignalPair.
 
@@ -268,35 +267,39 @@ def load_record(
         raise ParseError(
             f"too short: found {len(disp)} data rows, need at least 2", path=path
         )
-    return validate(SignalPair(disp, load, displacement_unit, load_unit))
+    return validate(SignalPair(disp, load))
 
 
 def format_number(x: float, precision: int = OUTPUT_PRECISION) -> str:
     return f"{x:.{precision}g}"
 
 
-def write_record(pair: SignalPair, path, precision: int = OUTPUT_PRECISION) -> None:
-    """Write a SignalPair as comma-separated text (UTF-8, LF endings).
+def write_record(
+    pair: SignalPair, path, *, units=("mm", "kN"), precision: int = OUTPUT_PRECISION
+) -> None:
+    """Write a SignalPair as comma-separated text (UTF-8, LF endings)
+    under the header ``displacement_<u>,load_<l>``, ``units`` being the
+    labels ``(u, l)``; they name the values and never convert them.
 
     Round-trips through :func:`load_record` up to ``precision``
     significant digits.
     """
-    write_columns(
-        path,
-        (f"displacement_{pair.displacement_unit}", f"load_{pair.load_unit}"),
-        (pair.displacement, pair.load),
-        precision=precision,
-    )
+    displacement_unit, load_unit = units
+    header = (f"displacement_{displacement_unit}", f"load_{load_unit}")
+    write_columns(path, header, (pair.displacement, pair.load), precision=precision)
 
 
 def write_columns(path, header, columns, precision=OUTPUT_PRECISION):
     """Write parallel numeric columns as comma-separated text with a
     one-line header.
 
-    Raises ValueError, before the file is opened, if the columns differ
-    in length or precision is below 1.
+    Raises ValueError, before the file is opened, if a column is not
+    1-d, the columns differ in length or precision is below 1.
     """
     columns = [np.asarray(c) for c in columns]
+    for i, c in enumerate(columns):
+        if c.ndim != 1:
+            raise ValueError(f"column {i} must be 1-d, got shape {c.shape}")
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise ValueError(f"columns differ in length: {lengths}")

@@ -32,7 +32,7 @@ def regular_reduce(pair: SignalPair, step: int) -> SignalPair:
         raise ValueError(f"reduction step must be a positive integer, got {step}")
     step = int(step)
     validate(pair)
-    return pair.with_arrays(pair.displacement[::step], pair.load[::step])
+    return SignalPair(pair.displacement[::step], pair.load[::step])
 
 
 def sign_flips(v: np.ndarray) -> np.ndarray:
@@ -140,7 +140,7 @@ def irregular_resample(pair: SignalPair, scale: int, changes) -> SignalPair:
 
     if not out_disp:
         raise ValueError("resampling produced an empty record (no segment spans a grid cell)")
-    result = pair.with_arrays(
+    result = SignalPair(
         np.concatenate(out_disp) / scale, np.concatenate(out_load) / scale
     )
     if len(result) < 2:

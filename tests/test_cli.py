@@ -142,6 +142,43 @@ def test_stage_by_stage_writes_the_pipeline_bytes(workdir):
             assert (staged / name).read_bytes() == (out / name).read_bytes(), name
 
 
+UNIT_HEADERS = {
+    "reduced.csv": "displacement_in,load_lbf",
+    "resampled.csv": "displacement_in,load_lbf",
+    "envelope.csv": "displacement_in,load_lbf",
+    "idealized.csv": "displacement_in,load_lbf",
+    "response.csv": "displacement_in,simulated_load_lbf,experimental_load_lbf",
+}
+
+
+def test_unit_labels_name_every_header_and_change_no_value(workdir):
+    tmp, raw, out, config = workdir
+    assert main(["pipeline", "--config", str(config)]) == 0
+    units = ["--displacement-unit", "in", "--load-unit", "lbf"]
+    flags = tmp / "flags"
+    assert main(["pipeline", "--config", str(config), "--outdir", str(flags), *units]) == 0
+    keys = tmp / "keys.json"
+    values = json.loads(config.read_text())
+    values.update(outdir=str(tmp / "keys"), displacement_unit="in", load_unit="lbf")
+    keys.write_text(json.dumps(values))
+    assert main(["pipeline", "--config", str(keys)]) == 0
+    staged = tmp / "staged"
+    for command in ("resample", "backbone", "fit"):
+        argv = [command, "--config", str(config), "--outdir", str(staged), *units]
+        assert main(argv) == 0
+    names = sorted(os.listdir(out))
+    for name in names:
+        if name == "manifest.json":
+            continue
+        blob = (flags / name).read_bytes()
+        assert (tmp / "keys" / name).read_bytes() == blob, name
+        assert (staged / name).read_bytes() == blob, name
+        header, _, rows = blob.decode().partition("\n")
+        default_header, _, default_rows = (out / name).read_text().partition("\n")
+        assert header == UNIT_HEADERS.get(name, default_header), name
+        assert rows == default_rows, name  # labels only: no value is converted
+
+
 def _raise_value_error(*args, **kwargs):
     raise ValueError("boom")
 

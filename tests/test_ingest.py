@@ -1,4 +1,5 @@
 import gzip
+import pickle
 import urllib.request
 import warnings
 
@@ -114,6 +115,42 @@ def test_validate_length_mismatch():
         validate(SignalPair(np.arange(5.0), np.arange(6.0)))
 
 
+@pytest.mark.parametrize(
+    "displacement, load, problems",
+    [
+        (np.zeros((3, 2)), np.ones(3), ["displacement must be 1-d, got shape (3, 2)"]),
+        (np.zeros(3), np.float64(1.0), ["load must be 1-d, got shape ()"]),
+        (
+            np.zeros((1, 4)),
+            np.ones((4, 1)),
+            [
+                "displacement must be 1-d, got shape (1, 4)",
+                "load must be 1-d, got shape (4, 1)",
+            ],
+        ),
+    ],
+    ids=["displacement_3x2", "load_0d", "both"],
+)
+def test_validate_names_a_column_that_is_not_1d(tmp_path, displacement, load, problems):
+    pair = SignalPair(displacement, load)
+    with pytest.raises(ValidationError) as err:
+        validate(pair)
+    assert err.value.problems == problems
+    # the writer refuses the column before it opens the file
+    path = tmp_path / "rec.csv"
+    with pytest.raises(ValueError, match=r"column [01] must be 1-d, got shape \("):
+        write_record(pair, path)
+    assert not path.exists()
+
+
+def test_validation_error_survives_a_pickle_round_trip():
+    problems = ["length mismatch: a", "too short"]
+    back = pickle.loads(pickle.dumps(ValidationError(problems)))
+    assert type(back) is ValidationError
+    assert str(back) == "length mismatch: a; too short"
+    assert back.problems == problems
+
+
 def test_validate_reports_each_violation():
     disp = np.arange(5.0)
     load = np.arange(6.0)
@@ -152,9 +189,10 @@ def test_write_read_round_trip(tmp_path_factory, disp, load):
 
 def test_units_carried_to_header(tmp_path):
     p = tmp_path / "rec.csv"
-    pair = SignalPair([0, 1], [0, 2], displacement_unit="1/m", load_unit="kN")
-    write_record(pair, p)
+    write_record(SignalPair([0, 1], [0, 2]), p, units=("1/m", "kN"))
     assert p.read_text().splitlines()[0] == "displacement_1/m,load_kN"
+    write_record(SignalPair([0, 1], [0, 2]), p)
+    assert p.read_text().splitlines()[0] == "displacement_mm,load_kN"
 
 
 # -- numpy reader and column-wise writer against the per-cell oracles --
