@@ -16,7 +16,6 @@ from pivotfit.ingest import (
     write_record,
 )
 from pivotfit.resample import (
-    SegmentError,
     detect_reversals,
     irregular_resample,
     regular_reduce,
@@ -46,7 +45,6 @@ __all__ = [
     "load_record",
     "write_record",
     "validate",
-    "SegmentError",
     "regular_reduce",
     "detect_reversals",
     "irregular_resample",

@@ -28,11 +28,11 @@ YIELD_FRACTION = 0.65
 
 @dataclass(frozen=True, eq=False)
 class EnvelopeCurve:
-    """Backbone points sorted strictly ascending by displacement."""
+    """Backbone points sorted strictly ascending by displacement; a
+    record whose load never changes sign gives a single point."""
 
     displacement: np.ndarray
     load: np.ndarray
-    degenerate: bool = False  # one-sided record, single-extremum envelope
 
     def __post_init__(self):
         object.__setattr__(
@@ -129,7 +129,7 @@ def extract_envelope(pair: SignalPair) -> EnvelopeCurve:
     point with the larger load magnitude.
 
     A record whose load never changes sign yields a degenerate
-    single-point envelope, flagged on the result and via a warning.
+    single-point envelope and a warning; ``idealize`` refuses it.
     """
     validate(pair)
     load = pair.load
@@ -147,8 +147,7 @@ def extract_envelope(pair: SignalPair) -> EnvelopeCurve:
             local = int(np.argmin(subset))
         env_idx.append(a + local)
 
-    degenerate = len(bounds) == 2  # no sign change: single subset
-    if degenerate:
+    if len(bounds) == 2:  # no sign change: single subset
         warnings.warn(
             "load never changes sign: degenerate single-extremum envelope",
             stacklevel=2,
@@ -170,7 +169,7 @@ def extract_envelope(pair: SignalPair) -> EnvelopeCurve:
             keep_d.append(dv)
             keep_f.append(fv)
 
-    return EnvelopeCurve(np.array(keep_d), np.array(keep_f), degenerate=degenerate)
+    return EnvelopeCurve(np.array(keep_d), np.array(keep_f))
 
 
 def idealize(env: EnvelopeCurve) -> IdealizedBackbone:

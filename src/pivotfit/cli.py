@@ -63,10 +63,10 @@ class PipelineConfig:
     step: int = 1
     scale: int = 100
     precision: int = OUTPUT_PRECISION
-    population: int = 50
-    generations: int = 300
-    seed: int = 0
-    workers: int = 1
+    population: int = GAConfig.population_size
+    generations: int = GAConfig.max_generations
+    seed: int = GAConfig.rng_seed
+    workers: int = GAConfig.workers
     bounds: dict = field(default_factory=dict)  # name -> [lo, hi]
 
     def ga_config(self) -> GAConfig:
@@ -266,7 +266,10 @@ def _read_params_file(path) -> PivotParams:
     missing = [n for n in PARAM_NAMES if n not in values]
     if missing:
         raise ParseError(f"missing parameters: {', '.join(missing)}", path=path)
-    return PivotParams(**values)
+    try:
+        return PivotParams(**values)
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path) from None
 
 
 def _write_params_file(params: PivotParams, path, precision):

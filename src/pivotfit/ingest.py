@@ -7,8 +7,9 @@ as a number, that row is a header and every read route skips it; a first
 row with one numeric designated cell is data and must parse in full.
 Units are metadata only and are never converted.
 
-The file is opened once and read by numpy's C text reader
-(``np.loadtxt``) from the path itself, when the delimiter is one
+The header sniff, the read of stripped lines and the line walk share one
+open handle. The file is read by numpy's C text reader (``np.loadtxt``)
+from the path itself, which numpy opens again, when the delimiter is one
 non-whitespace character, or else (and when numpy refuses the path) from
 the file's stripped, non-blank lines. Where numpy accepts a cell its
 value is ``float(cell)``. A file numpy refuses from both sources, and any

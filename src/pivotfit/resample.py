@@ -4,7 +4,7 @@ Two stages: a regular reduction that keeps every m-th sample, and an
 irregular resampling that re-grids each monotonic displacement segment
 onto integer multiples of 1/scale via linear interpolation of load over
 displacement. Rising and falling segments take one code path, and a
-segment that is not monotone after flooring raises SegmentError.
+segment that is not monotone after flooring raises ValueError.
 Segments end at reversals, found by ``sign_flips``: the one rule that
 also cuts the backbone's half-cycles and the engine's runs.
 """
@@ -14,13 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from pivotfit.ingest import SignalPair, validate
-
-
-class SegmentError(ValueError):
-    """Raised when a resampling segment cannot be interpolated."""
-
-    def __init__(self, segment: int, message: str):
-        super().__init__(f"segment {segment}: {message}")
 
 
 def regular_reduce(pair: SignalPair, step: int) -> SignalPair:
@@ -92,9 +85,9 @@ def irregular_resample(pair: SignalPair, scale: int, changes) -> SignalPair:
 
     A segment whose endpoint equals the running previous endpoint after
     flooring contributes no points; any other segment that is not
-    strictly monotone after flooring raises SegmentError. Within every
-    contributed segment the displacement increment is 1/scale with
-    constant sign.
+    strictly monotone after flooring raises ValueError naming the
+    segment. Within every contributed segment the displacement increment
+    is 1/scale with constant sign.
     """
     if int(scale) != scale or scale <= 10:
         raise ValueError(f"resampling scale must be an integer > 10, got {scale}")
@@ -129,7 +122,9 @@ def irregular_resample(pair: SignalPair, scale: int, changes) -> SignalPair:
         xp, fp = seg_disp[kept], load[first_idx + kept]
         if not np.all(np.diff(xp) * s > 0):
             trend = "increasing" if s > 0 else "decreasing"
-            raise SegmentError(seg, f"displacements not strictly {trend} after flooring")
+            raise ValueError(
+                f"segment {seg}: displacements not strictly {trend} after flooring"
+            )
         if s < 0:
             xp, fp = xp[::-1], fp[::-1]  # np.interp needs rising xp
         queries = np.arange(first_val + s, last_val + s, s)

@@ -211,8 +211,19 @@ def test_params_file_rejects_a_repeated_parameter(tmp_path, capsys):
         ("alpha1=ten\n", "line 1: non-numeric value 'ten'"),
         ("alpha1=10\n", "missing parameters: alpha2, beta1, beta2, eta"),
         ("# caf\u00e9\nalpha1=10\n", "line 1: byte 0xe9 is not UTF-8 text"),
+        (
+            "alpha1=0.5\nalpha2=8\nbeta1=0.7\nbeta2=0.6\neta=40\n",
+            "alpha1 and alpha2 must be >= 1",
+        ),
+        (
+            "alpha1=nan\nalpha2=8\nbeta1=0.7\nbeta2=0.6\neta=40\n",
+            "alpha1 must be finite, got nan",
+        ),
     ],
-    ids=["no_equals_sign", "non_numeric", "missing", "not_utf8"],
+    ids=[
+        "no_equals_sign", "non_numeric", "missing", "not_utf8",
+        "out_of_range", "not_finite",
+    ],
 )
 def test_params_file_format_errors_are_named(tmp_path, capsys, text, message):
     params = tmp_path / "params.txt"
@@ -524,6 +535,27 @@ def test_module_runs_as_script(tmp_path):
     missing = run("pipeline", "--input", "missing.csv", "--outdir", "out")
     assert missing.returncode == 2
     assert "missing.csv" in missing.stderr
+
+
+def test_load_that_never_changes_sign_stops_the_pipeline_at_the_backbone(tmp_path):
+    """A one-sided record gives a one-point envelope, which idealization
+    refuses, so no completed run can hold a degenerate envelope."""
+    raw = tmp_path / "raw.csv"
+    disp, load = make_raw_record(raw, n_per_leg=40)
+    write_record(SignalPair(disp, load - load.min() + 1.0), raw)  # every load > 0
+    src = os.path.dirname(os.path.dirname(pivotfit.__file__))
+    argv = [sys.executable, "-m", "pivotfit.cli", "pipeline", "--input", "raw.csv",
+            "--outdir", "out", "--step", "2", "--scale", "40"]
+    run = subprocess.run(
+        argv, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 1
+    assert "load never changes sign: degenerate single-extremum envelope" in run.stderr
+    assert "stage 'backbone': need at least 3 envelope points per side" in run.stderr
+    assert (tmp_path / "out" / "resampled.csv").exists()
+    assert not (tmp_path / "out" / "idealized.csv").exists()
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_unknown_bounds_param_rejected(workdir):

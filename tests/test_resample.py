@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pivotfit import (
-    SegmentError,
     SignalPair,
     detect_reversals,
     irregular_resample,
@@ -227,19 +227,22 @@ def test_resample_reports_non_monotonic_segment():
     # change indices that claim a monotonic span over a reversal
     disp = np.array([1.0, 0.5, 1.2, 1.4])
     load = np.arange(4.0)
-    with pytest.raises(SegmentError, match="segment 1"):
+    with pytest.raises(ValueError, match="segment 1"):
         irregular_resample(SignalPair(disp, load), 100, np.array([3, 4]))
     # a falling segment with a rise in it
     falling = SignalPair([0.0, -0.2, -0.1, -0.3], load)
-    with pytest.raises(SegmentError, match="not strictly decreasing after flooring"):
+    message = "segment 1: displacements not strictly decreasing after flooring"
+    with pytest.raises(ValueError, match=message) as caught:
         irregular_resample(falling, 20, [4])
+    # the refusal pickles intact, as an error raised in a worker process must
+    assert str(pickle.loads(pickle.dumps(caught.value))) == message
     # a floored value that dips and recovers inside a rising or a falling
     # segment: keeping each value's first sample would hide the dip
     dips = SignalPair([0.25, 0.30, 0.25, 0.35], load)
-    with pytest.raises(SegmentError, match="not strictly increasing after flooring"):
+    with pytest.raises(ValueError, match="not strictly increasing after flooring"):
         irregular_resample(dips, 20, [4])
     bumps = SignalPair([0.35, 0.30, 0.35, 0.25], load)
-    with pytest.raises(SegmentError, match="not strictly decreasing after flooring"):
+    with pytest.raises(ValueError, match="not strictly decreasing after flooring"):
         irregular_resample(bumps, 20, [4])
 
 
