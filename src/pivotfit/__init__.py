@@ -21,7 +21,6 @@ from pivotfit.resample import (
     regular_reduce,
 )
 from pivotfit.backbone import (
-    EnvelopeCurve,
     IdealizedBackbone,
     extract_envelope,
     idealize,
@@ -48,7 +47,6 @@ __all__ = [
     "regular_reduce",
     "detect_reversals",
     "irregular_resample",
-    "EnvelopeCurve",
     "IdealizedBackbone",
     "extract_envelope",
     "idealize",

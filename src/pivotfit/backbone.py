@@ -1,16 +1,17 @@
 """Backbone envelope extraction and 7-point idealization.
 
 The envelope is the locus of the signed load extremum of each loading
-half-cycle, sorted ascending by displacement. The idealization reduces
-it to seven points: on each side an elastic-limit point (first point
-whose load magnitude exceeds 65% of the side's extreme load), the
-extreme-load point and the extreme-displacement point, plus the origin.
-A half-cycle ends at the first load of the other sign, zero loads
-carrying no sign: the rule (``resample.sign_flips``) that also splits
-displacement into monotone segments. The idealized backbone is also the
-geometry the Pivot engine runs on: it carries the yield points,
-stiffnesses and envelope interpolant the engine reads, so no conversion
-sits between ``idealize`` and ``simulate``.
+half-cycle: a ``SignalPair`` whose displacements strictly ascend. The
+idealization reduces it to seven points: on each side an elastic-limit
+point (first point whose load magnitude exceeds 65% of the side's
+extreme load), the extreme-load point and the extreme-displacement
+point, plus the origin. A half-cycle ends at the first load of the
+other sign, zero loads carrying no sign: the rule
+(``resample.sign_flips``) that also splits displacement into monotone
+segments. The idealized backbone is also the geometry the Pivot engine
+runs on: it carries the yield points, stiffnesses and envelope
+interpolant the engine reads, so no conversion sits between
+``idealize`` and ``simulate``.
 """
 
 from __future__ import annotations
@@ -24,24 +25,6 @@ from pivotfit.ingest import SignalPair, validate
 from pivotfit.resample import sign_flips
 
 YIELD_FRACTION = 0.65
-
-
-@dataclass(frozen=True, eq=False)
-class EnvelopeCurve:
-    """Backbone points sorted strictly ascending by displacement; a
-    record whose load never changes sign gives a single point."""
-
-    displacement: np.ndarray
-    load: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "displacement", np.asarray(self.displacement, dtype=float)
-        )
-        object.__setattr__(self, "load", np.asarray(self.load, dtype=float))
-
-    def __len__(self):
-        return self.displacement.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +101,7 @@ class IdealizedBackbone:
         return out
 
 
-def extract_envelope(pair: SignalPair) -> EnvelopeCurve:
+def extract_envelope(pair: SignalPair) -> SignalPair:
     """Extract the cyclic backbone envelope from a load-deformation record.
 
     The load trace is cut into subsets between consecutive sign changes
@@ -169,17 +152,18 @@ def extract_envelope(pair: SignalPair) -> EnvelopeCurve:
             keep_d.append(dv)
             keep_f.append(fv)
 
-    return EnvelopeCurve(np.array(keep_d), np.array(keep_f))
+    return SignalPair(np.array(keep_d), np.array(keep_f))
 
 
-def idealize(env: EnvelopeCurve) -> IdealizedBackbone:
+def idealize(env: SignalPair) -> IdealizedBackbone:
     """Reduce an envelope to the 7-point idealized backbone.
 
-    Requires at least 3 points on each displacement sign side. The
-    elastic-limit scan on the positive side walks points in ascending
-    displacement order and stops at the first load exceeding 65% of the
-    maximum envelope load; the negative side mirrors it in descending
-    order against 65% of the minimum. If a scan stops at the
+    The envelope's points ascend by displacement, as ``extract_envelope``
+    returns them. Requires at least 3 points on each displacement sign
+    side. The elastic-limit scan on the positive side walks points in
+    ascending displacement order and stops at the first load exceeding
+    65% of the maximum envelope load; the negative side mirrors it in
+    descending order against 65% of the minimum. If a scan stops at the
     extreme-load point itself the yield point coincides with the peak;
     this is flagged and warned about, not an error.
     """

@@ -402,9 +402,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse has printed the help, the version or a usage error
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
-    # warnings print during the run; the caller gets its filters back
+    # warnings print during the run, one line each, as errors do; the
+    # caller gets its filters and its showwarning back
     with warnings.catch_warnings():
         warnings.simplefilter("default")
+        warnings.showwarning = lambda message, *_: print(
+            f"pivotfit: warning: {message}", file=sys.stderr
+        )
         try:
             cfg = resolve_config(args)
             # checked before any stage writes a file

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pivotfit import (
-    EnvelopeCurve,
     IdealizedBackbone,
     SignalPair,
     extract_envelope,
@@ -20,6 +19,7 @@ def test_envelope_hand_example():
     d = [0, 1, 2, 1, 0.1, -1, -2, -1, -0.1, 2.5, 3, 1, 0.1]
     f = [0.1, 5, 10, 5, 1, -5, -10, -5, -1, 12, 15, 5, 1]
     env = extract_envelope(SignalPair(d, f))
+    assert type(env) is SignalPair  # the record type of every two-column curve
     np.testing.assert_array_equal(env.displacement, [-2, 2, 3])
     np.testing.assert_array_equal(env.load, [-10, 10, 15])
 
@@ -110,7 +110,7 @@ def test_envelope_duplicate_displacement_keeps_outer():
 # -- idealization -----------------------------------------------------------
 
 def test_idealize_hand_example_degenerate_yield():
-    env = EnvelopeCurve([-3, -2, -1, 1, 2, 3], [-12, -14, -9, 8, 13, 11])
+    env = SignalPair([-3, -2, -1, 1, 2, 3], [-12, -14, -9, 8, 13, 11])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         ib = idealize(env)
@@ -127,7 +127,7 @@ def test_a_backbone_rebuilt_from_its_points_keeps_its_flags():
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ib = idealize(EnvelopeCurve(d, f))
+            ib = idealize(SignalPair(d, f))
         # as the CLI rebuilds it from idealized.csv, and a GA worker from a pickle
         rebuilt = IdealizedBackbone(ib.displacement.tolist(), ib.load.tolist())
         for bb in (ib, rebuilt, pickle.loads(pickle.dumps(ib))):
@@ -136,7 +136,7 @@ def test_a_backbone_rebuilt_from_its_points_keeps_its_flags():
 
 
 def test_idealize_hand_example_non_degenerate_positive():
-    env = EnvelopeCurve([-4, -3, -1, 1, 2, 4, 5], [-10, -16, -8, 7, 11, 16, 12])
+    env = SignalPair([-4, -3, -1, 1, 2, 4, 5], [-10, -16, -8, 7, 11, 16, 12])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # negative side yield==peak
         ib = idealize(env)
@@ -155,17 +155,17 @@ def test_idealize_antisymmetric_envelope():
     f = np.array([-11.0, -14.0, -8.0, 8.0, 14.0, 11.0])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ib = idealize(EnvelopeCurve(d, f))
+        ib = idealize(SignalPair(d, f))
     # negation maps point k to point 8-k negated
     np.testing.assert_array_equal(ib.displacement, -ib.displacement[::-1])
     np.testing.assert_array_equal(ib.load, -ib.load[::-1])
 
 
 def test_idealize_requires_three_points_per_side():
-    env = EnvelopeCurve([-2, -1, 1, 2, 3], [-9, -7, 6, 9, 8])
+    env = SignalPair([-2, -1, 1, 2, 3], [-9, -7, 6, 9, 8])
     with pytest.raises(ValueError, match="3 envelope points"):
         idealize(env)
-    one_signed = EnvelopeCurve([-3, -2, -1, 1, 2, 3], [1, 2, 3, 4, 5, 6])
+    one_signed = SignalPair([-3, -2, -1, 1, 2, 3], [1, 2, 3, 4, 5, 6])
     with pytest.raises(ValueError, match="both positive and negative loads"):
         idealize(one_signed)
 
@@ -180,7 +180,7 @@ def test_idealize_names_a_side_without_an_elastic_limit_point(side):
     with pytest.raises(
         ValueError, match=f"no {side}-side point exceeds 65% of its extreme load"
     ):
-        idealize(EnvelopeCurve(d, f))
+        idealize(SignalPair(d, f))
 
 
 def test_idealize_invariants_on_randomized_envelopes():
@@ -239,7 +239,7 @@ def test_idealized_backbone_rejects_non_finite_knot(bad):
 def test_array_records_compare_and_hash_by_identity():
     d = [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
     f = [-12.0, -15.0, -10.0, 0.0, 10.0, 15.0, 12.0]
-    for make in (IdealizedBackbone, EnvelopeCurve, SignalPair):
+    for make in (IdealizedBackbone, SignalPair):
         a, b = make(d, f), make(d, f)
         assert (a == b) is False and a != b and a == a
         assert {a: 1}[a] == 1 and b not in {a: 1}

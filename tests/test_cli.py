@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 import pivotfit.cli
-from pivotfit import IdealizedBackbone, PivotParams, SignalPair, simulate, write_record
+from pivotfit import (
+    IdealizedBackbone,
+    PivotParams,
+    SignalPair,
+    idealize,
+    load_record,
+    simulate,
+    write_record,
+)
 from pivotfit.cli import entrypoint, main
 from pivotfit.optimize import FitError
 from conftest import uniform_grid_protocol
@@ -127,6 +135,19 @@ def test_stage_composability(workdir):
     assert (out / "envelope.csv").read_bytes() == envelope
     assert main(["simulate", "--config", str(config)]) == 0
     assert (out / "response.csv").read_bytes() == response
+
+
+def test_the_envelope_file_idealizes_to_the_idealized_file(workdir):
+    """envelope.csv reads back as the record the backbone stage idealized."""
+    tmp, raw, out, config = workdir
+    assert main(["resample", "--config", str(config)]) == 0
+    assert main(["backbone", "--config", str(config)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a yield==peak side warns
+        ideal = idealize(load_record(out / "envelope.csv"))
+    written = load_record(out / "idealized.csv")
+    assert ideal.displacement.tobytes() == written.displacement.tobytes()
+    assert ideal.load.tobytes() == written.load.tobytes()
 
 
 def test_stage_by_stage_writes_the_pipeline_bytes(workdir):
@@ -469,10 +490,11 @@ def test_ga_setting_errors_name_the_setting(workdir, capsys, flags, message):
 def test_main_gives_the_caller_its_warning_filters_back(workdir):
     tmp, raw, out, config = workdir
     before = list(warnings.filters)
+    hook = warnings.showwarning
     assert main(["resample", "--config", str(config)]) == 0
-    assert warnings.filters == before
+    assert warnings.filters == before and warnings.showwarning is hook
     assert main(["resample", "--input", str(tmp / "missing.csv")]) == 2
-    assert warnings.filters == before
+    assert warnings.filters == before and warnings.showwarning is hook
 
 
 @pytest.mark.parametrize("command", ["resample", "backbone", "simulate", "fit", "pipeline"])
@@ -551,7 +573,10 @@ def test_load_that_never_changes_sign_stops_the_pipeline_at_the_backbone(tmp_pat
         capture_output=True, text=True,
     )
     assert run.returncode == 1
-    assert "load never changes sign: degenerate single-extremum envelope" in run.stderr
+    assert (
+        "pivotfit: warning: load never changes sign: degenerate single-extremum envelope\n"
+        in run.stderr
+    )
     assert "stage 'backbone': need at least 3 envelope points per side" in run.stderr
     assert (tmp_path / "out" / "resampled.csv").exists()
     assert not (tmp_path / "out" / "idealized.csv").exists()
@@ -585,15 +610,21 @@ def test_outdir_env_var(workdir, monkeypatch):
 
 
 def test_warning_does_not_change_exit_status(workdir, capsys):
-    """A degenerate yield==peak idealization warns but exits 0."""
+    """A degenerate yield==peak idealization warns, on one line, but exits 0."""
     tmp, raw, out, config = workdir
     out.mkdir(exist_ok=True)
-    # an envelope whose first threshold crossing is the peak itself
+    # loads rise with |displacement|, so the envelope is the protocol's
+    # peaks; on the negative side the first point beyond 65% of the
+    # extreme load is that extreme itself
     grid = uniform_grid_protocol([1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 0.0], step=0.02)
-    loads = np.where(grid >= 0, 15 * np.tanh(2 * grid), 13 * np.tanh(2.5 * grid))
+    loads = np.interp(grid, [-3, -2, -1, 0, 1, 2, 3], [-12, -6, -4, 0, 5, 10, 12])
     write_record(SignalPair(grid, loads), out / "resampled.csv")
     code = main(["backbone", "--outdir", str(out)])
     assert code == 0
+    assert capsys.readouterr().err == (
+        "pivotfit: warning: yield point coincides with the extreme-load point "
+        "on the negative side\n"
+    )
 
 
 def test_flags_override_config(workdir):
