@@ -17,7 +17,6 @@ interpolant the engine reads, so no conversion sits between
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +26,7 @@ from pivotfit.resample import sign_flips
 YIELD_FRACTION = 0.65
 
 
-@dataclass(frozen=True, eq=False)
-class IdealizedBackbone:
+class IdealizedBackbone(SignalPair):
     """Exactly 7 (displacement, load) points; point 4 is the origin.
 
     Points 1-3 describe the negative side (ultimate displacement,
@@ -43,12 +41,9 @@ class IdealizedBackbone:
     elastic stiffnesses (``k_pos``, ``k_neg``), envelope loads at the
     yield points (``f_dy_*``) and ``envelope_at``. Its points are its
     own read-only float copies, so a caller's arrays are never aliased.
-    It compares and hashes by identity, as ``simulate`` matches a
-    ``History`` to its backbone.
+    A ``SignalPair`` of 7 points, it compares and hashes by identity, as
+    ``simulate`` matches a ``History`` to its backbone.
     """
-
-    displacement: np.ndarray
-    load: np.ndarray
 
     def __post_init__(self):
         d = np.array(self.displacement, dtype=float)

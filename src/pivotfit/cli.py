@@ -29,7 +29,6 @@ from pivotfit.backbone import extract_envelope, idealize, IdealizedBackbone
 from pivotfit.ingest import (
     OUTPUT_PRECISION,
     ParseError,
-    SignalPair,
     ValidationError,
     format_number,
     load_record,
@@ -199,9 +198,8 @@ def _stage(name):
 def _write_curve(cfg: PipelineConfig, filename: str, curve) -> None:
     """A record, envelope or backbone as a displacement,load file under
     the run's unit labels."""
-    pair = SignalPair(curve.displacement, curve.load)
     units = (cfg.displacement_unit, cfg.load_unit)
-    write_record(pair, cfg.path(filename), units=units, precision=cfg.precision)
+    write_record(curve, cfg.path(filename), units=units, precision=cfg.precision)
 
 
 def cmd_resample(cfg: PipelineConfig) -> None:

@@ -12,11 +12,14 @@ fit with a ``FitError`` that names it.
 
 All random draws of a generation are made from the master generator
 before any fitness evaluation is dispatched, so results are bit-identical
-no matter how many processes evaluate the population.
+no matter how many processes evaluate the population. On Linux the
+children are forked, whatever start method is set, and inherit the
+prepared record; elsewhere the platform's method pickles it into each.
 """
 
 from __future__ import annotations
 
+import sys
 from contextlib import suppress
 from dataclasses import dataclass, field
 
@@ -171,7 +174,7 @@ def _score_population(history: History, load, genes) -> np.ndarray:
 
 
 def _score_worker(conn, history, load):
-    """A forked child: receive the prepared history and the load record
+    """A child process: receive the prepared history and the load record
     once, as process arguments, then score each slice that arrives over
     ``conn`` until the sentinel ``None``. It sends back the slice's
     scores, or the exception that stopped them."""
@@ -253,6 +256,8 @@ def fit(
     after each generation is recorded. A record the engine cannot run
     raises one FitError before any genome is scored, and the first
     candidate in population order it cannot run raises one naming it.
+    On Linux its ``workers`` − 1 children are forked, whatever start
+    method is set; elsewhere they get the prepared record by pickle.
     """
     if config is None:
         config = GAConfig()
@@ -282,9 +287,10 @@ def fit(
             # imported here: a serial run does not pay for the import
             import multiprocessing
 
+            mp = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
             for i in range(1, workers):
-                conn, child_end = multiprocessing.Pipe()
-                child = multiprocessing.Process(
+                conn, child_end = mp.Pipe()
+                child = mp.Process(
                     target=_score_worker,
                     args=(child_end, prepared, resampled.load),
                     name=f"GA worker {i}",

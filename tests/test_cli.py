@@ -148,6 +148,10 @@ def test_the_envelope_file_idealizes_to_the_idealized_file(workdir):
     written = load_record(out / "idealized.csv")
     assert ideal.displacement.tobytes() == written.displacement.tobytes()
     assert ideal.load.tobytes() == written.load.tobytes()
+    # the backbone is a record of 7 points, written as any other
+    assert isinstance(ideal, SignalPair) and len(ideal) == 7
+    write_record(ideal, tmp / "idealized.csv")
+    assert (tmp / "idealized.csv").read_bytes() == (out / "idealized.csv").read_bytes()
 
 
 def test_stage_by_stage_writes_the_pipeline_bytes(workdir):
@@ -292,9 +296,7 @@ def test_simulate_self_consistency(workdir):
     grid = uniform_grid_protocol([1.5, -1.5, 2.2, -2.2, 0.0], step=0.025)
     loads = simulate(BACKBONE, PivotParams(10, 8, 0.7, 0.6, 40), grid)
     write_record(SignalPair(grid, loads), out / "resampled.csv")
-    write_record(
-        SignalPair(BACKBONE.displacement, BACKBONE.load), out / "idealized.csv"
-    )
+    write_record(BACKBONE, out / "idealized.csv")
     assert (
         main(
             [

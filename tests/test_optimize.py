@@ -2,6 +2,7 @@ import itertools
 import multiprocessing
 import os
 import signal
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import astuple
@@ -282,7 +283,7 @@ def test_worker_count_does_not_change_results(round_trip_record):
     np.testing.assert_array_equal(h1.mean_score, h2.mean_score)
 
 
-def test_pool_capped_at_population_size(round_trip_record, monkeypatch):
+def test_workers_capped_at_population_size(round_trip_record, monkeypatch):
     record, backbone, _ = round_trip_record
     children = []
 
@@ -335,8 +336,33 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_a_child_that_dies_stops_the_fit_by_name(round_trip_record, monkeypatch, workers):
+@contextmanager
+def default_start_method(method):
+    """Set the process default start method to ``method`` (None leaves
+    it as it is) and restore the previous one after."""
+    previous = multiprocessing.get_start_method(allow_none=True)
+    if method is not None:
+        multiprocessing.set_start_method(method, force=True)
+    try:
+        yield
+    finally:
+        multiprocessing.set_start_method(previous, force=True)
+
+
+@pytest.mark.parametrize(
+    "workers, start_method",
+    [
+        pytest.param(workers, method, id=f"{workers}-{method}" if method else f"{workers}")
+        for method in (None, "spawn", "forkserver")
+        for workers in (2, 3)
+    ],
+)
+def test_a_child_that_dies_stops_the_fit_by_name(
+    round_trip_record, monkeypatch, workers, start_method
+):
+    # the patch reaches a child only if the child is forked
+    if start_method is not None and sys.platform != "linux":
+        pytest.skip("off Linux a fit keeps the platform's start method")
     record, backbone, _ = round_trip_record
     main_pid = os.getpid()
     score = optimize._score_population
@@ -347,7 +373,11 @@ def test_a_child_that_dies_stops_the_fit_by_name(round_trip_record, monkeypatch,
         return score(history, load, genes)
 
     monkeypatch.setattr(optimize, "_score_population", die_in_a_child)
-    with deadline(20), pytest.raises(RuntimeError, match="^GA worker 1 exited with code 7$"):
+    with (
+        default_start_method(start_method),
+        deadline(20),
+        pytest.raises(RuntimeError, match="^GA worker 1 exited with code 7$"),
+    ):
         small_fit(record, backbone, workers=workers)
     assert multiprocessing.active_children() == []
 
@@ -391,7 +421,7 @@ def test_stall_stops_early(round_trip_record):
 def test_fit_names_a_record_it_cannot_score(
     symmetric_backbone, displacement, load, message
 ):
-    # the record is refused before any pool opens, so 2 workers start none
+    # the record is refused before any worker starts, so 2 workers start none
     bad = SignalPair(displacement, load)
     for workers in (1, 2):
         config = GAConfig(population_size=4, max_generations=2, workers=workers)

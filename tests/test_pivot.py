@@ -592,7 +592,8 @@ def test_history_survives_a_pickle_round_trip(asymmetric_backbone):
     params = PivotParams(3, 7, 0.5, 0.2, 50)
     hist = triangle_protocol([2.5, -2.5, 0.3, -3.0, 4.0], pts=30)
     expected = simulate(g, params, hist).tobytes()
-    # a pool worker receives the backbone and the history in one pickle
+    # a GA worker spawned on macOS or Windows receives the backbone and
+    # the history in one pickle
     g2, history = pickle.loads(pickle.dumps((g, History(g, hist))))
     assert history.backbone is g2
     assert simulate(g2, params, history).tobytes() == expected
