@@ -1,22 +1,24 @@
 """Backbone envelope extraction and 7-point idealization.
 
 The envelope is the locus of the signed load extremum of each loading
-half-cycle: a ``SignalPair`` whose displacements strictly ascend. The
-idealization reduces it to seven points: on each side an elastic-limit
-point (first point whose load magnitude exceeds 65% of the side's
-extreme load), the extreme-load point and the extreme-displacement
-point, plus the origin. A half-cycle ends at the first load of the
-other sign, zero loads carrying no sign: the rule
-(``resample.sign_flips``) that also splits displacement into monotone
-segments. The idealized backbone is also the geometry the Pivot engine
-runs on: it carries the yield points, stiffnesses and envelope
-interpolant the engine reads, so no conversion sits between
-``idealize`` and ``simulate``.
+half-cycle: a ``SignalPair`` whose displacements strictly ascend. A
+displacement tie keeps the whole sample with the larger |load|, or the
+earlier half-cycle's on equal |load|. The idealization reduces it to
+seven points: on each side an elastic-limit point (first point whose
+load magnitude exceeds 65% of the side's extreme load), the extreme-load
+point and the extreme-displacement point, plus the origin. A half-cycle
+ends at the first load of the other sign, zero loads carrying no sign:
+the rule (``resample.sign_flips``) that also splits displacement into
+monotone segments. The idealized backbone is also the geometry the Pivot
+engine runs on: it carries the yield points, stiffnesses and envelope
+interpolant the engine reads, so no conversion sits between ``idealize``
+and ``simulate``.
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from pivotfit.resample import sign_flips
 YIELD_FRACTION = 0.65
 
 
+@dataclass(frozen=True, eq=False)
 class IdealizedBackbone(SignalPair):
     """Exactly 7 (displacement, load) points; point 4 is the origin.
 
@@ -103,8 +106,8 @@ def extract_envelope(pair: SignalPair) -> SignalPair:
     (zero loads carry no sign, see ``resample.sign_flips``); each subset
     contributes its maximum if the subset mean is positive, otherwise its
     minimum; the selected points are mapped to their displacements and
-    sorted ascending by displacement. Duplicate displacements keep the
-    point with the larger load magnitude.
+    sorted ascending by displacement. A tie keeps the whole sample with
+    the larger |load|, or the earlier half-cycle's on equal |load|.
 
     A record whose load never changes sign yields a degenerate
     single-point envelope and a warning; ``idealize`` refuses it.
@@ -131,39 +134,35 @@ def extract_envelope(pair: SignalPair) -> SignalPair:
             stacklevel=2,
         )
 
-    env_d = disp[env_idx]
-    env_f = load[env_idx]
-    order = np.argsort(env_d, kind="stable")
-    env_d = env_d[order]
-    env_f = env_f[order]
-
-    # Duplicate displacements: keep the outermost point (larger |load|).
-    keep_d, keep_f = [], []
-    for dv, fv in zip(env_d, env_f):
-        if keep_d and dv == keep_d[-1]:
-            if abs(fv) > abs(keep_f[-1]):
-                keep_f[-1] = fv
-        else:
-            keep_d.append(dv)
-            keep_f.append(fv)
-
-    return SignalPair(np.array(keep_d), np.array(keep_f))
+    env_d, env_f = disp[env_idx], load[env_idx]
+    # ascending displacement; of equal displacements the larger |load|
+    # (then the earlier half-cycle) comes first and is the one kept
+    order = np.lexsort((-np.abs(env_f), env_d))
+    env_d, env_f = env_d[order], env_f[order]
+    first = np.append(True, env_d[1:] != env_d[:-1])
+    return SignalPair(env_d[first], env_f[first])
 
 
 def idealize(env: SignalPair) -> IdealizedBackbone:
     """Reduce an envelope to the 7-point idealized backbone.
 
     The envelope's points ascend by displacement, as ``extract_envelope``
-    returns them. Requires at least 3 points on each displacement sign
-    side. The elastic-limit scan on the positive side walks points in
-    ascending displacement order and stops at the first load exceeding
-    65% of the maximum envelope load; the negative side mirrors it in
-    descending order against 65% of the minimum. If a scan stops at the
-    extreme-load point itself the yield point coincides with the peak;
-    this is flagged and warned about, not an error.
+    returns them; a point below the one before it is refused, equal
+    neighbours are not (a low-precision ``envelope.csv`` can round two
+    together). Requires at least 3 points on each displacement sign side.
+    The elastic-limit scan on the positive side walks points in ascending
+    displacement order and stops at the first load exceeding 65% of the
+    maximum envelope load; the negative side mirrors it in descending order
+    against 65% of the minimum. If a scan stops at the extreme-load point
+    itself the yield point coincides with the peak; this is flagged and
+    warned about, not an error.
     """
     d = env.displacement
     f = env.load
+    drops = np.flatnonzero(d[1:] < d[:-1]) + 1
+    if drops.size:
+        i = drops[0]
+        raise ValueError(f"envelope point {i} (d={d[i]:g}) is below point {i - 1}")
     n_neg = int(np.sum(d < 0))
     n_pos = int(np.sum(d > 0))
     if n_neg < 3 or n_pos < 3:

@@ -6,10 +6,13 @@ import pytest
 
 from pivotfit import (
     IdealizedBackbone,
+    PivotParams,
     SignalPair,
     extract_envelope,
     idealize,
+    simulate,
 )
+from pivotfit.resample import sign_flips
 
 
 from oracles import envelope_oracle, random_cyclic_record
@@ -44,14 +47,32 @@ def test_envelope_negation_symmetry():
         np.testing.assert_array_equal(neg.load, -env.load[::-1])
 
 
+def _tied_cyclic_record(rng):
+    """Half-cycles of 1-3 samples on a coarse grid with signed zeros, so
+    their extremes often tie in displacement, in |load|, or in both."""
+    grid = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+    disp, load = [], []
+    for k in range(int(rng.integers(2, 12))):
+        n = int(rng.integers(1, 4))
+        disp.extend(rng.choice(grid, n))
+        load.extend((-1.0) ** k * rng.choice([0.0, 1.0, 2.0], n))
+    return np.array(disp), np.array(load)
+
+
 def test_envelope_matches_oracle_randomized():
     rng = np.random.default_rng(11)
-    for _ in range(100):
-        d, f = random_cyclic_record(rng)
-        env = extract_envelope(SignalPair(d, f))
-        expected = envelope_oracle(d.tolist(), f.tolist())
-        np.testing.assert_array_equal(env.displacement, [p[0] for p in expected])
-        np.testing.assert_array_equal(env.load, [p[1] for p in expected])
+    merged = 0
+    for make in (random_cyclic_record, _tied_cyclic_record):
+        for _ in range(100):
+            d, f = make(rng)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # degenerate records warn
+                env = extract_envelope(SignalPair(d, f))
+            expected = np.array(envelope_oracle(d.tolist(), f.tolist())).T
+            assert env.displacement.tobytes() == expected[0].tobytes()
+            assert env.load.tobytes() == expected[1].tobytes()
+            merged += sign_flips(f).size + 1 - len(env)
+    assert merged > 100  # the tie rule is exercised
 
 
 def test_envelope_zero_sample_stays_with_preceding_subset():
@@ -106,6 +127,22 @@ def test_envelope_duplicate_displacement_keeps_outer():
     j = list(env.displacement).index(-1.0)
     assert env.load[j] == -7.0
 
+    # a signed-zero tie keeps one whole sample, (-0.0, 5.0)
+    d = np.array([0.0, 0.5, -1.0, -0.5, -0.0, 0.3])
+    f = np.array([1.0, 0.5, -2.0, -1.0, 5.0, 0.2])
+    env = extract_envelope(SignalPair(d, f))
+    expected = np.array(envelope_oracle(d.tolist(), f.tolist())).T
+    assert env.displacement.tobytes() == expected[0].tobytes()
+    assert env.load.tobytes() == expected[1].tobytes()
+    assert (np.signbit(env.displacement[1]), env.load[1]) == (True, 5.0)
+
+    # equal |load| of opposite signs: the earlier half-cycle's point stays
+    d = np.array([0, 1, 1.5, 1, 0.5, 2, 0])
+    f = np.array([0.1, 8, 2, -8, -2, 9, -1])
+    env = extract_envelope(SignalPair(d, f))
+    np.testing.assert_array_equal(env.displacement, [1, 2])
+    np.testing.assert_array_equal(env.load, [8, 9])
+
 
 # -- idealization -----------------------------------------------------------
 
@@ -159,6 +196,19 @@ def test_idealize_antisymmetric_envelope():
     # negation maps point k to point 8-k negated
     np.testing.assert_array_equal(ib.displacement, -ib.displacement[::-1])
     np.testing.assert_array_equal(ib.load, -ib.load[::-1])
+
+
+def test_idealize_refuses_descending_displacements():
+    d = np.array([-3, -2, -1, -0.5, 0.5, 1, 2, 3])
+    f = np.array([-12, -15, -10, -5, 5, 10, 15, 12])
+    assert idealize(SignalPair(d, f)).displacement[4] == 1.0
+    swap = [0, 1, 2, 3, 4, 6, 5, 7]  # points 5 and 6
+    with pytest.raises(ValueError, match=r"^envelope point 6 \(d=1\) is below point 5$"):
+        idealize(SignalPair(d[swap], f[swap]))
+    # equal neighbours pass, as a low-precision envelope.csv can round two
+    # points together
+    d[6] = 1.0
+    assert idealize(SignalPair(d, f)).displacement[4] == 1.0
 
 
 def test_idealize_requires_three_points_per_side():
@@ -261,3 +311,18 @@ def test_idealized_backbone_owns_its_points():
     for points in (bb.displacement, bb.load):
         with pytest.raises(ValueError, match="read-only"):
             points[0] = 0.0
+
+
+def test_idealized_backbone_refuses_every_assignment():
+    bb = IdealizedBackbone(
+        [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0],
+        [-12.0, -15.0, -10.0, 0.0, 10.0, 15.0, 12.0],
+    )
+    params = PivotParams(10.0, 10.0, 0.5, 0.5, 100.0)
+    ramp = np.linspace(0.0, 3.0, 30)
+    before = simulate(bb, params, ramp).tobytes()
+    for name in ("k_pos", "displacement", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(bb, name, 1.0)
+    assert bb.k_pos == 10.0
+    assert simulate(bb, params, ramp).tobytes() == before
