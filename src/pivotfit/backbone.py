@@ -1,18 +1,19 @@
 """Backbone envelope extraction and 7-point idealization.
 
-The envelope is the locus of the signed load extremum of each loading
-half-cycle: a ``SignalPair`` whose displacements strictly ascend. A
-displacement tie keeps the whole sample with the larger |load|, or the
-earlier half-cycle's on equal |load|. The idealization reduces it to
-seven points: on each side an elastic-limit point (first point whose
-load magnitude exceeds 65% of the side's extreme load), the extreme-load
-point and the extreme-displacement point, plus the origin. A half-cycle
-ends at the first load of the other sign, zero loads carrying no sign:
-the rule (``resample.sign_flips``) that also splits displacement into
-monotone segments. The idealized backbone is also the geometry the Pivot
-engine runs on: it carries the yield points, stiffnesses and envelope
-interpolant the engine reads, so no conversion sits between ``idealize``
-and ``simulate``.
+The envelope holds the sample of largest |load| (the first on ties) of
+each loading half-cycle, as a ``SignalPair`` whose displacements
+strictly ascend. A half-cycle runs from a load of one sign to the sample
+before the next load of the other sign, so zero loads stay with the
+half-cycle before them: the rule (``resample.sign_flips``) that also
+splits displacement into monotone segments. A displacement tie keeps the
+whole sample with the larger |load|, or the earlier half-cycle's on
+equal |load|. The idealization reduces it to seven points: on each side
+an elastic-limit point (first point whose load magnitude exceeds 65% of
+the side's extreme load), the extreme-load point and the
+extreme-displacement point, plus the origin. The idealized backbone is
+also the geometry the Pivot engine runs on: it carries the yield points,
+stiffnesses and envelope interpolant the engine reads, so no conversion
+sits between ``idealize`` and ``simulate``.
 """
 
 from __future__ import annotations
@@ -102,39 +103,34 @@ class IdealizedBackbone(SignalPair):
 def extract_envelope(pair: SignalPair) -> SignalPair:
     """Extract the cyclic backbone envelope from a load-deformation record.
 
-    The load trace is cut into subsets between consecutive sign changes
-    (zero loads carry no sign, see ``resample.sign_flips``); each subset
-    contributes its maximum if the subset mean is positive, otherwise its
-    minimum; the selected points are mapped to their displacements and
-    sorted ascending by displacement. A tie keeps the whole sample with
-    the larger |load|, or the earlier half-cycle's on equal |load|.
+    A half-cycle runs from a load of one sign to the sample before the
+    next load of the other sign (``resample.sign_flips``), so zero loads
+    stay with the half-cycle before them. Its point is the sample with
+    the largest |load|, the first on ties. The points are sorted
+    ascending by displacement; a displacement tie keeps the whole sample
+    with the larger |load|, or the earlier half-cycle's on equal |load|.
 
     A record whose load never changes sign yields a degenerate
     single-point envelope and a warning; ``idealize`` refuses it.
     """
     validate(pair)
     load = pair.load
-    disp = pair.displacement
 
-    # a subset ends just before the first sample of the next sign, so a
-    # zero load stays with the preceding subset
-    bounds = [0, *(sign_flips(load) - 1), load.shape[0] - 1]
-    env_idx = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        subset = load[a : b + 1]
-        if subset.mean() > 0:
-            local = int(np.argmax(subset))
-        else:
-            local = int(np.argmin(subset))
-        env_idx.append(a + local)
-
-    if len(bounds) == 2:  # no sign change: single subset
+    # a half-cycle starts at a load of the other sign and keeps the zero
+    # loads after it, so its nonzero loads share one sign: its extreme is
+    # its largest |load|, the first on ties
+    starts = np.append(0, sign_flips(load))
+    if starts.size == 1:
         warnings.warn(
             "load never changes sign: degenerate single-extremum envelope",
             stacklevel=2,
         )
+    size = np.abs(load)
+    peak = np.maximum.reduceat(size, starts)
+    hits = np.flatnonzero(size == peak.repeat(np.diff(starts, append=load.shape[0])))
+    env_idx = hits[hits.searchsorted(starts)]
 
-    env_d, env_f = disp[env_idx], load[env_idx]
+    env_d, env_f = pair.displacement[env_idx], load[env_idx]
     # ascending displacement; of equal displacements the larger |load|
     # (then the earlier half-cycle) comes first and is the one kept
     order = np.lexsort((-np.abs(env_f), env_d))

@@ -140,7 +140,8 @@ def deviation_score(load_resp, load_exp) -> float:
     """Sum of squared differences between two equal-length load arrays.
 
     Accumulates term by term in index order, matching an elementwise
-    reference loop exactly. Zero iff the arrays are identical.
+    reference loop exactly. Zero for identical arrays and when every
+    square underflows; ``inf`` when a square overflows.
     """
     load_resp = np.asarray(load_resp, dtype=float)
     load_exp = np.asarray(load_exp, dtype=float)
@@ -253,11 +254,12 @@ def fit(
     best-ever individual and ``history`` the full per-generation record.
     Fully reproducible from ``config.rng_seed``, independent of
     ``config.workers``. ``on_generation(generation, history)`` is called
-    after each generation is recorded. A record the engine cannot run
-    raises one FitError before any genome is scored, and the first
-    candidate in population order it cannot run raises one naming it.
-    On Linux its ``workers`` − 1 children are forked, whatever start
-    method is set; elsewhere they get the prepared record by pickle.
+    after each generation is recorded. A FitError stops it before any
+    genome is scored on a record the engine cannot run, at the first
+    candidate in population order the engine cannot run (naming it), or
+    after a first generation with no finite score. On Linux its
+    ``workers`` − 1 children are forked, whatever start method is set;
+    elsewhere they get the prepared record by pickle.
     """
     if config is None:
         config = GAConfig()
@@ -309,6 +311,8 @@ def fit(
                 stall = 0
             else:
                 stall += 1
+            if best_genes is None:
+                raise FitError("no candidate of generation 1 has a finite deviation score")
             history.append(best_score, scores.mean(), best_genes)
             if on_generation is not None:
                 on_generation(generation, history)

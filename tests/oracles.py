@@ -139,10 +139,11 @@ def resample_oracle(disp, load, scale, changes):
 
 
 def envelope_oracle(disp, load):
-    """Split the load trace at sign changes (zeros stay with the
-    preceding run), take the signed extremum of every span including the
-    leading and trailing ones, sort ascending by displacement, keep the
-    outermost point on displacement ties."""
+    """Cut the load trace into half-cycles, each running from a load of
+    one sign to the sample before the next load of the other sign (zero
+    loads stay with the half-cycle before them); take the signed extremum
+    of every half-cycle, the first on ties; sort ascending by
+    displacement; keep the outermost point on displacement ties."""
     bounds = [0]
     prev = 0
     for i, v in enumerate(load):
@@ -150,12 +151,12 @@ def envelope_oracle(disp, load):
         if s == 0:
             continue
         if prev != 0 and s != prev:
-            bounds.append(i - 1)
+            bounds.append(i)
         prev = s
-    bounds.append(len(load) - 1)
+    bounds.append(len(load))
     pts = []
     for a, b in zip(bounds[:-1], bounds[1:]):
-        sub = load[a : b + 1]
+        sub = load[a:b]
         mean = sum(sub) / len(sub)
         if mean > 0:
             j = a + max(range(len(sub)), key=lambda k: sub[k])

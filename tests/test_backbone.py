@@ -18,6 +18,14 @@ from pivotfit.resample import sign_flips
 from oracles import envelope_oracle, random_cyclic_record
 
 
+def assert_matches_oracle(env, d, f):
+    """env equals the oracle's envelope of (d, f) byte for byte, so
+    signed zeros count."""
+    expected = np.array(envelope_oracle(d.tolist(), f.tolist())).T
+    assert env.displacement.tobytes() == expected[0].tobytes()
+    assert env.load.tobytes() == expected[1].tobytes()
+
+
 def test_envelope_hand_example():
     d = [0, 1, 2, 1, 0.1, -1, -2, -1, -0.1, 2.5, 3, 1, 0.1]
     f = [0.1, 5, 10, 5, 1, -5, -10, -5, -1, 12, 15, 5, 1]
@@ -68,9 +76,7 @@ def test_envelope_matches_oracle_randomized():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # degenerate records warn
                 env = extract_envelope(SignalPair(d, f))
-            expected = np.array(envelope_oracle(d.tolist(), f.tolist())).T
-            assert env.displacement.tobytes() == expected[0].tobytes()
-            assert env.load.tobytes() == expected[1].tobytes()
+            assert_matches_oracle(env, d, f)
             merged += sign_flips(f).size + 1 - len(env)
     assert merged > 100  # the tie rule is exercised
 
@@ -131,17 +137,28 @@ def test_envelope_duplicate_displacement_keeps_outer():
     d = np.array([0.0, 0.5, -1.0, -0.5, -0.0, 0.3])
     f = np.array([1.0, 0.5, -2.0, -1.0, 5.0, 0.2])
     env = extract_envelope(SignalPair(d, f))
-    expected = np.array(envelope_oracle(d.tolist(), f.tolist())).T
-    assert env.displacement.tobytes() == expected[0].tobytes()
-    assert env.load.tobytes() == expected[1].tobytes()
+    assert_matches_oracle(env, d, f)
     assert (np.signbit(env.displacement[1]), env.load[1]) == (True, 5.0)
 
-    # equal |load| of opposite signs: the earlier half-cycle's point stays
+    # equal |load| of opposite signs: the earlier half-cycle's point
+    # stays; the last half-cycle, [-1], keeps its own point (0, -1)
     d = np.array([0, 1, 1.5, 1, 0.5, 2, 0])
     f = np.array([0.1, 8, 2, -8, -2, 9, -1])
     env = extract_envelope(SignalPair(d, f))
-    np.testing.assert_array_equal(env.displacement, [1, 2])
-    np.testing.assert_array_equal(env.load, [8, 9])
+    assert_matches_oracle(env, d, f)
+    np.testing.assert_array_equal(env.displacement, [0, 1, 2])
+    np.testing.assert_array_equal(env.load, [-1, 8, 9])
+
+
+def test_envelope_one_sample_half_cycle_keeps_its_own_point():
+    # the half-cycle [-0.5] starts after the 9 that ends the one before
+    # it: its point is (1.9, -0.5), not a sample of its neighbour
+    d = np.array([0, 1, 2, 1.9, 1.8, 2.5])
+    f = np.array([1, 5, 9, -0.5, 3, 10])
+    env = extract_envelope(SignalPair(d, f))
+    assert_matches_oracle(env, d, f)
+    np.testing.assert_array_equal(env.displacement, [1.9, 2, 2.5])
+    np.testing.assert_array_equal(env.load, [-0.5, 9, 10])
 
 
 # -- idealization -----------------------------------------------------------

@@ -11,9 +11,12 @@ import pytest
 
 import pivotfit.cli
 from pivotfit import (
+    GAConfig,
     IdealizedBackbone,
     PivotParams,
     SignalPair,
+    extract_envelope,
+    fit,
     idealize,
     load_record,
     simulate,
@@ -675,16 +678,48 @@ def test_only_a_fit_on_several_workers_imports_multiprocessing(tmp_path, workers
     assert done.stdout == f"0 {imported}\n", done.stderr
 
 
-@pytest.mark.filterwarnings("ignore:yield point coincides")
-def test_readme_library_example_runs(tmp_path, monkeypatch):
-    # on the record the CI step "Installed console script" writes
+def console_script_record(load_scale=1.0):
+    """The record the CI step "Installed console script" writes, its
+    loads times load_scale."""
     peaks = [0.0, 1.5, -1.5, 2.0, -2.0, 2.6, -2.6, 0.0]
     d = np.concatenate([np.linspace(a, b, 60)[1:] for a, b in zip(peaks, peaks[1:])])
     f = simulate(BACKBONE, PivotParams(10.0, 8.0, 0.7, 0.6, 40.0), d)
-    write_record(SignalPair(d, f), tmp_path / "raw.csv")
+    return SignalPair(d, f * load_scale)
+
+
+@pytest.mark.filterwarnings("ignore:yield point coincides")
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    write_record(console_script_record(), tmp_path / "raw.csv")
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
         library = fh.read().split("\n## Library\n", 1)[1]
     block = library.split("```python\n", 1)[1].split("\n```", 1)[0]
     monkeypatch.chdir(tmp_path)
     exec(compile(block, "README.md, Library", "exec"), {})
+
+
+# loads near 1e156 square to inf against any response on their backbone,
+# so no genome of the first generation has a finite score
+NO_FINITE_SCORE = "no candidate of generation 1 has a finite deviation score"
+
+
+@pytest.mark.filterwarnings("ignore:yield point coincides")
+def test_fit_with_no_finite_score_raises_fit_error():
+    record = console_script_record(1e155)
+    backbone = idealize(extract_envelope(record))
+    config = GAConfig(population_size=8, max_generations=3, rng_seed=0)
+    with np.errstate(over="ignore"), pytest.raises(FitError, match=f"^{NO_FINITE_SCORE}$"):
+        fit(record, backbone, config)
+
+
+def test_pipeline_with_no_finite_score_exits_3(tmp_path, capsys):
+    write_record(console_script_record(1e155), tmp_path / "huge.csv")
+    out = tmp_path / "out"
+    code = main(
+        ["pipeline", "--input", str(tmp_path / "huge.csv"), "--outdir", str(out),
+         "--step", "2", "--scale", "40", "--population", "8", "--generations", "3",
+         "--seed", "0"]
+    )
+    assert code == 3
+    assert f"pivotfit: stage 'fit': {NO_FINITE_SCORE}\n" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
