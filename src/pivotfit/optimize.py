@@ -19,6 +19,7 @@ prepared record; elsewhere the platform's method pickles it into each.
 
 from __future__ import annotations
 
+import math
 import sys
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -160,7 +161,9 @@ def deviation_score(load_resp, load_exp) -> float:
 def _score_population(history: History, load, genes) -> np.ndarray:
     """Deviation score of every gene row against the load record of a
     prepared history. The first candidate in row order that the engine
-    cannot run stops the fit."""
+    cannot run stops the fit: one whose degraded elastic slope underflows
+    to 0, or one whose response is NaN (an overflowing pivot load is the
+    known cause). An ``inf`` score is an ordinary score."""
     scores = np.empty(genes.shape[0])
     for i, row in enumerate(genes.tolist()):
         params = PivotParams(*row)
@@ -170,7 +173,13 @@ def _score_population(history: History, load, genes) -> np.ndarray:
             raise FitError(
                 f"the engine cannot simulate {params}: a degraded elastic slope underflows to 0"
             ) from exc
-        scores[i] = deviation_score(response, load)
+        score = deviation_score(response, load)
+        if math.isnan(score):  # the load record is finite: the response is NaN
+            raise FitError(
+                f"the engine cannot simulate {params}: its response is NaN, "
+                "as when a pivot load overflows"
+            )
+        scores[i] = score
     return scores
 
 

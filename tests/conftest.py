@@ -40,6 +40,20 @@ def uniform_grid_protocol(peaks, step):
     return np.concatenate(segs)
 
 
+def first_nan_candidate(backbone, displacement, bounds, seed, population):
+    """Index and parameters of the first genome of the GA's first
+    generation, in population order, whose response holds a NaN, drawn
+    as ``fit`` draws it: uniformly within the bounds. None if no genome's
+    response does."""
+    lo, hi = bounds.lower(), bounds.upper()
+    genes = lo + np.random.default_rng(seed).random((population, lo.shape[0])) * (hi - lo)
+    for i, row in enumerate(genes.tolist()):
+        params = PivotParams(*row)
+        if np.isnan(simulate(backbone, params, displacement)).any():
+            return i, params
+    return None
+
+
 ROUND_TRIP_TRUTH = PivotParams(12.0, 9.0, 0.7, 0.55, 60.0)
 
 

@@ -13,6 +13,7 @@ import pivotfit.cli
 from pivotfit import (
     GAConfig,
     IdealizedBackbone,
+    ParamBounds,
     PivotParams,
     SignalPair,
     extract_envelope,
@@ -24,7 +25,7 @@ from pivotfit import (
 )
 from pivotfit.cli import entrypoint, main
 from pivotfit.optimize import FitError
-from conftest import uniform_grid_protocol
+from conftest import first_nan_candidate, uniform_grid_protocol
 
 
 BACKBONE = IdealizedBackbone([-3, -2, -1, 0, 1, 2, 3], [-12, -15, -10, 0, 10, 15, 12])
@@ -161,7 +162,7 @@ def test_stage_by_stage_writes_the_pipeline_bytes(workdir):
     tmp, raw, out, config = workdir
     assert main(["pipeline", "--config", str(config)]) == 0
     staged = tmp / "staged"
-    for command in ("resample", "backbone", "fit"):
+    for command in ("resample", "backbone", "fit", "simulate"):
         assert main([command, "--config", str(config), "--outdir", str(staged)]) == 0
     names = sorted(os.listdir(out))
     assert sorted(os.listdir(staged)) == names
@@ -278,12 +279,35 @@ def test_params_file_with_a_bom_simulates_as_without(workdir):
 
 
 def test_config_file_with_a_bom_runs_as_without(workdir):
+    """A pipeline set by a config file that starts with a byte order mark
+    writes the bytes of the same run set by flags."""
     tmp, raw, out, config = workdir
+    flags = tmp / "flags"
+    argv = ["pipeline", "--input", str(raw), "--outdir", str(flags), "--step", "2",
+            "--scale", "40", "--population", "16", "--generations", "10", "--seed", "5"]
+    assert main(argv) == 0
     config.write_bytes(BOM + config.read_bytes())
-    assert main(["resample", "--config", str(config)]) == 0
-    assert (out / "resampled.csv").exists()
+    assert main(["pipeline", "--config", str(config)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["outdir"] == str(out)
+    names = sorted(os.listdir(flags))
+    assert sorted(os.listdir(out)) == names
+    for name in names:
+        if name != "manifest.json":
+            assert (out / name).read_bytes() == (flags / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("delimiter", ["\t", ";;"], ids=["tab", "double_semicolon"])
+def test_a_record_with_another_delimiter_resamples_as_with_commas(workdir, delimiter):
+    tmp, raw, out, config = workdir
+    other = tmp / "raw.txt"
+    other.write_text(raw.read_text().replace(",", delimiter))
+    assert main(["resample", "--config", str(config)]) == 0
+    argv = ["resample", "--config", str(config), "--input", str(other),
+            "--outdir", str(tmp / "other"), "--delimiter", delimiter]
+    assert main(argv) == 0
+    for name in ("reduced.csv", "resampled.csv"):
+        assert (tmp / "other" / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_simulate_self_consistency(workdir):
@@ -391,6 +415,7 @@ def _raise_keyboard_interrupt(*args, **kwargs):
 )
 def test_exit_codes(workdir, monkeypatch, capsys, case, code, stderr):
     tmp, raw, out, config = workdir
+    monkeypatch.chdir(tmp)  # where an empty outdir would put the outputs
     argv = ["pipeline", "--config", str(config)]
     if case == "fit_error":
         monkeypatch.setattr(pivotfit.cli, "fit", _raise_fit_error)
@@ -420,6 +445,7 @@ def test_exit_codes(workdir, monkeypatch, capsys, case, code, stderr):
     assert capsys.readouterr().err.startswith(stderr.format(config=config))
     # only a failure in a stage after resample leaves an output directory
     assert out.exists() == (case in ("fit_error", "interrupt"))
+    assert not (tmp / "reduced.csv").exists()
     # the console script exits with the code main returns
     monkeypatch.setattr(sys, "argv", ["pivotfit", *argv])
     with pytest.raises(SystemExit) as exited:
@@ -531,10 +557,9 @@ def test_failed_run_leaves_no_manifest(workdir, flags, code):
     tmp, raw, out, config = workdir
     if flags[0] == "--input":
         flags = ["--input", str(tmp / flags[1])]
-    assert main(["pipeline", "--config", str(config), *flags]) == code
-    assert not out.exists()  # the resample stage failed before its first write
-    assert not (out / "manifest.json").exists()
-    assert not (out / "reduced.csv").exists()
+    for command in ("resample", "pipeline"):
+        assert main([command, "--config", str(config), *flags]) == code
+        assert not out.exists()  # the resample stage failed before its first write
 
 
 def test_failed_command_removes_an_earlier_manifest(workdir):
@@ -562,6 +587,7 @@ def test_module_runs_as_script(tmp_path):
     missing = run("pipeline", "--input", "missing.csv", "--outdir", "out")
     assert missing.returncode == 2
     assert "missing.csv" in missing.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_that_never_changes_sign_stops_the_pipeline_at_the_backbone(tmp_path):
@@ -722,4 +748,28 @@ def test_pipeline_with_no_finite_score_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert f"pivotfit: stage 'fit': {NO_FINITE_SCORE}\n" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_pipeline_names_a_candidate_whose_response_is_nan(tmp_path, capsys):
+    """alpha1 up to 5e307 overflows the primary pivot load of most genomes:
+    the fit stops at the first whose response is NaN, and names it."""
+    write_record(console_script_record(), tmp_path / "raw.csv")
+    out = tmp_path / "out"
+    code = main(
+        ["pipeline", "--input", str(tmp_path / "raw.csv"), "--outdir", str(out),
+         "--step", "2", "--scale", "40", "--population", "8", "--generations", "3",
+         "--seed", "0", "--bounds", "alpha1=1:5e307"]
+    )
+    assert code == 3
+    resampled = load_record(out / "resampled.csv")
+    ideal = load_record(out / "idealized.csv")
+    _, params = first_nan_candidate(
+        IdealizedBackbone(ideal.displacement, ideal.load), resampled.displacement,
+        ParamBounds(alpha1=(1.0, 5e307)), 0, 8,
+    )
+    assert capsys.readouterr().err.endswith(
+        f"pivotfit: stage 'fit': the engine cannot simulate {params}: "
+        "its response is NaN, as when a pivot load overflows\n"
+    )
     assert not (out / "manifest.json").exists()

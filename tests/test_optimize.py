@@ -26,7 +26,7 @@ from pivotfit import (
 )
 from pivotfit import optimize
 from pivotfit.optimize import _breed, _score_population
-from conftest import uniform_grid_protocol
+from conftest import ROUND_TRIP_TRUTH, first_nan_candidate, uniform_grid_protocol
 from oracles import breed_loop_oracle, score_loop_oracle as loop_oracle
 
 
@@ -508,6 +508,47 @@ def test_fit_names_a_candidate_it_cannot_simulate(underflow_record, workers, see
         fit(record, backbone, config)
     assert str(caught.value) == message
     assert multiprocessing.active_children() == []
+
+
+# alpha1 up to 2e307 overflows the primary pivot load -alpha1 * 10 of the
+# round-trip backbone for about one genome in ten. GA seed 0 first meets
+# a NaN response on genome 1, in the main process's slice. Seed 5 meets
+# it on genome 11, in the first child's slice on 2 and on 3 processes,
+# and again on genomes 15 and 17, in the second child's slice on 3.
+@pytest.mark.parametrize(
+    "workers, seed",
+    [(1, 0), (2, 0), (3, 0), (1, 5), (2, 5), (3, 5)],
+    ids=["1", "2", "3", "first_in_a_child-1", "first_in_a_child-2", "first_in_a_child-3"],
+)
+def test_fit_names_a_candidate_whose_response_is_nan(round_trip_record, workers, seed):
+    record, backbone, _ = round_trip_record
+    bounds = ParamBounds(alpha1=(1.0, 2e307))
+    config = GAConfig(
+        population_size=20, max_generations=5, bounds=bounds, rng_seed=seed, workers=workers
+    )
+    index, params = first_nan_candidate(backbone, record.displacement, bounds, seed, 20)
+    assert index == {0: 1, 5: 11}[seed]
+    with pytest.raises(FitError) as caught:
+        fit(record, backbone, config)
+    assert str(caught.value) == (
+        f"the engine cannot simulate {params}: its response is NaN, as when a pivot load overflows"
+    )
+    assert multiprocessing.active_children() == []
+
+
+def test_fit_without_a_config_fits_with_the_default_config(symmetric_backbone):
+    # every sample lies inside the yield displacements, so every genome
+    # scores 0: the best is the first genome drawn, and the stall rule
+    # stops the fit STALL_GENERATIONS generations later
+    d = np.array([0.2, 0.5, -0.4, 0.1])
+    record = SignalPair(d, simulate(symmetric_backbone, ROUND_TRIP_TRUTH, d))
+    best, history = fit(record, symmetric_backbone)
+    explicit_best, explicit_history = fit(record, symmetric_backbone, GAConfig())
+    assert len(history) == optimize.STALL_GENERATIONS + 1
+    assert np.array(astuple(best)).tobytes() == np.array(astuple(explicit_best)).tobytes()
+    for name in ("best_score", "mean_score", "best_params"):
+        got = np.array(getattr(history, name)).tobytes()
+        assert got == np.array(getattr(explicit_history, name)).tobytes(), name
 
 
 def test_round_trip_recovery_quick(round_trip_record):
