@@ -10,7 +10,6 @@ real-coded genetic algorithm.
 from pivotfit.ingest import (
     ParseError,
     SignalPair,
-    ValidationError,
     load_record,
     validate,
     write_record,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "SignalPair",
     "ParseError",
-    "ValidationError",
     "load_record",
     "write_record",
     "validate",

@@ -29,7 +29,6 @@ from pivotfit.backbone import extract_envelope, idealize, IdealizedBackbone
 from pivotfit.ingest import (
     OUTPUT_PRECISION,
     ParseError,
-    ValidationError,
     format_number,
     load_record,
     open_text,
@@ -86,7 +85,7 @@ def _load_config_file(path) -> dict:
     with open_text(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
-        raise ValidationError([f"config file {path} must hold a JSON object"])
+        raise ValueError(f"config file {path} must hold a JSON object")
     return data
 
 
@@ -113,14 +112,13 @@ _FILE_VALUE_TYPES = {
 
 
 def _check_file_values(values: dict, path) -> None:
-    """Reject config file values of the wrong JSON type before any stage
-    runs."""
+    """Reject config file values of the wrong JSON type before any stage runs."""
     for key, value in values.items():
         kind = PipelineConfig.__dataclass_fields__[key].type
         expected, check = _FILE_VALUE_TYPES[kind]
         if not check(value):
-            raise ValidationError(
-                [f"config file {path}: {key!r} must be {expected}, got {value!r}"]
+            raise ValueError(
+                f"config file {path}: {key!r} must be {expected}, got {value!r}"
             )
 
 
@@ -132,11 +130,11 @@ def _parse_bounds_flag(values) -> dict:
             lo, _, hi = interval.partition(":")
             bounds[name.strip()] = [float(lo), float(hi)]
         except ValueError:
-            raise ValidationError(
-                [f"cannot parse bounds flag {entry!r}, expected name=lo:hi"]
+            raise ValueError(
+                f"cannot parse bounds flag {entry!r}, expected name=lo:hi"
             ) from None
         if name.strip() not in PARAM_NAMES:
-            raise ValidationError([f"unknown parameter in bounds flag: {name!r}"])
+            raise ValueError(f"unknown parameter in bounds flag: {name!r}")
     return bounds
 
 
@@ -148,9 +146,7 @@ def resolve_config(args) -> PipelineConfig:
         file_values = _load_config_file(args.config)
         unknown = set(file_values) - set(cfg.__dataclass_fields__)
         if unknown:
-            raise ValidationError(
-                [f"unknown config file keys: {', '.join(sorted(unknown))}"]
-            )
+            raise ValueError(f"unknown config file keys: {', '.join(sorted(unknown))}")
         _check_file_values(file_values, args.config)
         for key, value in file_values.items():
             setattr(cfg, key, value)
@@ -206,7 +202,7 @@ def cmd_resample(cfg: PipelineConfig) -> None:
     """input -> reduced.csv + resampled.csv"""
     with _stage("resample"):
         if not cfg.input:
-            raise ValidationError(["no input file given"])
+            raise ValueError("no input file given")
         raw = load_record(
             cfg.input,
             delimiter=cfg.delimiter,
@@ -344,17 +340,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
+        p.allow_abbrev = False  # a flag's prefix is no flag ("--load" is not --load-unit)
         p.add_argument("--config", help="JSON config file with PipelineConfig keys")
         p.add_argument("--input", help="raw record file")
         p.add_argument("--outdir", help=f"output directory (default ${OUTDIR_ENV_VAR} or .)")
-        p.add_argument("--delimiter", help="input column delimiter (default ',')")
-        p.add_argument("--displacement-column", type=int, dest="displacement_column")
-        p.add_argument("--load-column", type=int, dest="load_column")
         p.add_argument("--displacement-unit", dest="displacement_unit")
         p.add_argument("--load-unit", dest="load_unit")
         p.add_argument("--precision", type=int, help="output significant digits")
 
     def add_resample(p):
+        p.add_argument("--delimiter", help="input column delimiter (default ',')")
+        p.add_argument("--displacement-column", type=int, dest="displacement_column")
+        p.add_argument("--load-column", type=int, dest="load_column")
         p.add_argument("--step", type=int, help="regular reduction stride m")
         p.add_argument("--scale", type=int, help="resampling scale (> 10)")
 

@@ -52,21 +52,6 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-class ValidationError(ValueError):
-    """Raised when a record violates one or more invariants.
-
-    ``problems`` holds one message per violated invariant, naming the
-    first offending index (0-based) or the shape of a column not 1-d.
-    """
-
-    def __init__(self, problems):
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
-
-    def __reduce__(self):
-        return type(self), (self.problems,)
-
-
 @dataclass(frozen=True, eq=False)
 class SignalPair:
     """Paired displacement/load histories, as float arrays; their unit
@@ -92,14 +77,14 @@ class SignalPair:
 def validate(pair: SignalPair) -> SignalPair:
     """Check all SignalPair invariants, returning the pair unmodified.
 
-    Raises ValidationError carrying one message per violated invariant,
-    naming the shape of a column that is not 1-d (no other check runs
-    then), else the first offending index. Idempotent and side-effect free.
+    Raises ValueError naming every violated invariant, "; "-separated:
+    the shape of a column that is not 1-d (no other check runs then),
+    else the first offending index. Idempotent and side-effect free.
     """
     columns = (("displacement", pair.displacement), ("load", pair.load))
     problems = [f"{n} must be 1-d, got shape {a.shape}" for n, a in columns if a.ndim != 1]
     if problems:  # the checks below read a 1-d length
-        raise ValidationError(problems)
+        raise ValueError("; ".join(problems))
     nd = pair.displacement.shape[0]
     nl = pair.load.shape[0]
     if nd != nl:
@@ -114,7 +99,7 @@ def validate(pair: SignalPair) -> SignalPair:
             idx = int(np.argmin(finite))
             problems.append(f"non-finite {name} value at index {idx}")
     if problems:
-        raise ValidationError(problems)
+        raise ValueError("; ".join(problems))
     return pair
 
 

@@ -40,16 +40,21 @@ def uniform_grid_protocol(peaks, step):
     return np.concatenate(segs)
 
 
-def first_nan_candidate(backbone, displacement, bounds, seed, population):
+def first_failing_candidate(backbone, displacement, bounds, seed, population):
     """Index and parameters of the first genome of the GA's first
-    generation, in population order, whose response holds a NaN, drawn
-    as ``fit`` draws it: uniformly within the bounds. None if no genome's
-    response does."""
+    generation, in population order, that the engine cannot run: its
+    simulation raises ZeroDivisionError or its response holds a NaN.
+    Drawn as ``fit`` draws it: uniformly within the bounds. None if every
+    genome runs."""
     lo, hi = bounds.lower(), bounds.upper()
     genes = lo + np.random.default_rng(seed).random((population, lo.shape[0])) * (hi - lo)
     for i, row in enumerate(genes.tolist()):
         params = PivotParams(*row)
-        if np.isnan(simulate(backbone, params, displacement)).any():
+        try:
+            response = simulate(backbone, params, displacement)
+        except ZeroDivisionError:
+            return i, params
+        if np.isnan(response).any():
             return i, params
     return None
 

@@ -25,7 +25,7 @@ from pivotfit import (
 )
 from pivotfit.cli import entrypoint, main
 from pivotfit.optimize import FitError
-from conftest import first_nan_candidate, uniform_grid_protocol
+from conftest import first_failing_candidate, uniform_grid_protocol
 
 
 BACKBONE = IdealizedBackbone([-3, -2, -1, 0, 1, 2, 3], [-12, -15, -10, 0, 10, 15, 12])
@@ -169,6 +169,27 @@ def test_stage_by_stage_writes_the_pipeline_bytes(workdir):
     for name in names:
         if name != "manifest.json":
             assert (staged / name).read_bytes() == (out / name).read_bytes(), name
+
+
+RECORD_FLAGS = [("--delimiter", ";"), ("--displacement-column", "5"), ("--load-column", "7")]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [(c, f, v) for c in ("backbone", "fit", "simulate") for f, v in RECORD_FLAGS]
+    # a prefix of a flag is no flag: on backbone "--load" is not --load-unit
+    + [("backbone", "--load", "7"), ("fit", "--pop", "8")],
+)
+def test_stages_that_read_no_record_refuse_the_record_flags(workdir, capsys, command, flag, value):
+    """Only resample and pipeline read the raw record, so only they take
+    the flags that say how to read it; a later stage refuses them."""
+    tmp, raw, out, config = workdir
+    for stage in ("resample", "backbone"):
+        assert main([stage, "--config", str(config)]) == 0
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    assert main([command, "--config", str(config), flag, value]) == 1
+    assert f"unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
 
 UNIT_HEADERS = {
@@ -702,6 +723,9 @@ def test_only_a_fit_on_several_workers_imports_multiprocessing(tmp_path, workers
         timeout=120,
     )
     assert done.stdout == f"0 {imported}\n", done.stderr
+    # no "use of fork() may lead to deadlocks" warning: no second Python
+    # thread runs when the fit forks its workers
+    assert done.stderr == ""
 
 
 def console_script_record(load_scale=1.0):
@@ -764,7 +788,7 @@ def test_pipeline_names_a_candidate_whose_response_is_nan(tmp_path, capsys):
     assert code == 3
     resampled = load_record(out / "resampled.csv")
     ideal = load_record(out / "idealized.csv")
-    _, params = first_nan_candidate(
+    _, params = first_failing_candidate(
         IdealizedBackbone(ideal.displacement, ideal.load), resampled.displacement,
         ParamBounds(alpha1=(1.0, 5e307)), 0, 8,
     )

@@ -26,7 +26,7 @@ from pivotfit import (
 )
 from pivotfit import optimize
 from pivotfit.optimize import _breed, _score_population
-from conftest import ROUND_TRIP_TRUTH, first_nan_candidate, uniform_grid_protocol
+from conftest import ROUND_TRIP_TRUTH, first_failing_candidate, uniform_grid_protocol
 from oracles import breed_loop_oracle, score_loop_oracle as loop_oracle
 
 
@@ -486,24 +486,9 @@ def test_fit_names_a_candidate_it_cannot_simulate(underflow_record, workers, see
     config = GAConfig(
         population_size=20, max_generations=5, bounds=bounds, rng_seed=seed, workers=workers
     )
-    # the first genome of the first generation, in population order, that
-    # the engine cannot run
-    lo, hi = bounds.lower(), bounds.upper()
-    genes = lo + np.random.default_rng(config.rng_seed).random((20, 5)) * (hi - lo)
-    failing = []
-    for i, g in enumerate(genes):
-        try:
-            simulate(backbone, PivotParams(*g.tolist()), record.displacement)
-        except ZeroDivisionError:
-            failing.append(i)
-    assert failing, "the first generation holds a candidate the engine cannot run"
-    if workers > 1:
-        main_slice = len(np.array_split(genes, workers)[0])
-        assert (failing[0] < main_slice) == (seed == 0)
-    message = (
-        f"the engine cannot simulate {PivotParams(*genes[failing[0]].tolist())}: "
-        "a degraded elastic slope underflows to 0"
-    )
+    index, params = first_failing_candidate(backbone, record.displacement, bounds, seed, 20)
+    assert index == {0: 0, 133: 10}[seed]
+    message = f"the engine cannot simulate {params}: a degraded elastic slope underflows to 0"
     with pytest.raises(FitError) as caught:
         fit(record, backbone, config)
     assert str(caught.value) == message
@@ -526,7 +511,7 @@ def test_fit_names_a_candidate_whose_response_is_nan(round_trip_record, workers,
     config = GAConfig(
         population_size=20, max_generations=5, bounds=bounds, rng_seed=seed, workers=workers
     )
-    index, params = first_nan_candidate(backbone, record.displacement, bounds, seed, 20)
+    index, params = first_failing_candidate(backbone, record.displacement, bounds, seed, 20)
     assert index == {0: 1, 5: 11}[seed]
     with pytest.raises(FitError) as caught:
         fit(record, backbone, config)
