@@ -11,7 +11,6 @@ from pivotfit.ingest import (
     ParseError,
     SignalPair,
     load_record,
-    validate,
     write_record,
 )
 from pivotfit.resample import (
@@ -41,7 +40,6 @@ __all__ = [
     "ParseError",
     "load_record",
     "write_record",
-    "validate",
     "regular_reduce",
     "detect_reversals",
     "irregular_resample",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pivotfit.ingest import SignalPair, validate
+from pivotfit.ingest import SignalPair
 from pivotfit.resample import sign_flips
 
 YIELD_FRACTION = 0.65
@@ -110,21 +110,15 @@ def extract_envelope(pair: SignalPair) -> SignalPair:
     ascending by displacement; a displacement tie keeps the whole sample
     with the larger |load|, or the earlier half-cycle's on equal |load|.
 
-    A record whose load never changes sign yields a degenerate
-    single-point envelope and a warning; ``idealize`` refuses it.
+    Fewer than 2 points raise ValueError: the load never changes sign,
+    or every half-cycle peaks at one displacement.
     """
-    validate(pair)
     load = pair.load
 
     # a half-cycle starts at a load of the other sign and keeps the zero
     # loads after it, so its nonzero loads share one sign: its extreme is
     # its largest |load|, the first on ties
     starts = np.append(0, sign_flips(load))
-    if starts.size == 1:
-        warnings.warn(
-            "load never changes sign: degenerate single-extremum envelope",
-            stacklevel=2,
-        )
     size = np.abs(load)
     peak = np.maximum.reduceat(size, starts)
     hits = np.flatnonzero(size == peak.repeat(np.diff(starts, append=load.shape[0])))
@@ -136,6 +130,11 @@ def extract_envelope(pair: SignalPair) -> SignalPair:
     order = np.lexsort((-np.abs(env_f), env_d))
     env_d, env_f = env_d[order], env_f[order]
     first = np.append(True, env_d[1:] != env_d[:-1])
+    if first.sum() < 2:
+        why = "the load never changes sign" if starts.size == 1 else (
+            "every half-cycle peaks at one displacement"
+        )
+        raise ValueError(f"the envelope has one point: {why}")
     return SignalPair(env_d[first], env_f[first])
 
 

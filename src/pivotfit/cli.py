@@ -412,7 +412,7 @@ def main(argv=None) -> int:
             if not cfg.outdir:
                 raise ValueError(f"outdir must not be empty, got {cfg.outdir!r}")
             if args.command in ("fit", "pipeline"):
-                cfg.ga_config().validate()
+                cfg.ga_config()
             manifest = _manifest(cfg, args.command)  # of the input as read
             # an earlier command's manifest would describe this run's outputs
             with suppress(FileNotFoundError):

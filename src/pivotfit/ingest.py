@@ -1,4 +1,4 @@
-"""Reading, validating and writing paired load-deformation records.
+"""Reading and writing paired load-deformation records.
 
 Records are delimiter-separated text with two designated numeric columns
 (displacement and load). An optional single header line is detected
@@ -12,9 +12,11 @@ open handle. The file is read by numpy's C text reader (``np.loadtxt``)
 from the path itself, which numpy opens again, when the delimiter is one
 non-whitespace character, or else (and when numpy refuses the path) from
 the file's stripped, non-blank lines. Where numpy accepts a cell its
-value is ``float(cell)``. A file numpy refuses from both sources, and any
-file with a multi-character delimiter, is walked line by line; the walk
-yields the same arrays, or raises ParseError naming the first bad line.
+value is ``float(cell)``. A file numpy refuses from both sources or
+reads with a non-finite value, and any file with a multi-character
+delimiter, is walked line by line; the walk yields the same arrays, or
+raises ParseError naming the first bad line: too few columns, or a cell
+that is not a number or not finite (an LVDT export's NaN).
 A byte that is not UTF-8 raises ParseError naming its line. Memory
 follows the parsed columns, not the text. Writers write comma-separated
 text: they stack the columns once and write a block of rows at a time,
@@ -23,6 +25,7 @@ each block formatted by one ``%`` operation.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from contextlib import contextmanager
@@ -57,50 +60,39 @@ class SignalPair:
     """Paired displacement/load histories, as float arrays; their unit
     labels are given to :func:`write_record`.
 
-    Invariants (checked by :func:`validate`): both 1-d, equal lengths, at
-    least two samples, every element finite.
+    Invariants, checked when it is built: both 1-d, equal lengths, at
+    least two samples, every element finite. A ValueError names every
+    violated invariant, "; "-separated: the shape of a column that is
+    not 1-d (no other check runs then), else the first offending index.
     """
 
     displacement: np.ndarray
     load: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "displacement", np.asarray(self.displacement, dtype=float)
+        columns = (
+            ("displacement", np.asarray(self.displacement, dtype=float)),
+            ("load", np.asarray(self.load, dtype=float)),
         )
-        object.__setattr__(self, "load", np.asarray(self.load, dtype=float))
+        vars(self).update(columns)
+        problems = [f"{n} must be 1-d, got shape {a.shape}" for n, a in columns if a.ndim != 1]
+        if problems:  # the checks below read a 1-d length
+            raise ValueError("; ".join(problems))
+        nd, nl = self.displacement.shape[0], self.load.shape[0]
+        if nd != nl:
+            problems.append(f"length mismatch: displacement has {nd} samples, load has {nl}")
+        if min(nd, nl) < 2:
+            problems.append(f"too short: {min(nd, nl)} samples, need at least 2")
+        for name, arr in columns:
+            finite = np.isfinite(arr)
+            if not finite.all():
+                idx = int(np.argmin(finite))
+                problems.append(f"non-finite {name} value at index {idx}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
     def __len__(self):
         return self.displacement.shape[0]
-
-
-def validate(pair: SignalPair) -> SignalPair:
-    """Check all SignalPair invariants, returning the pair unmodified.
-
-    Raises ValueError naming every violated invariant, "; "-separated:
-    the shape of a column that is not 1-d (no other check runs then),
-    else the first offending index. Idempotent and side-effect free.
-    """
-    columns = (("displacement", pair.displacement), ("load", pair.load))
-    problems = [f"{n} must be 1-d, got shape {a.shape}" for n, a in columns if a.ndim != 1]
-    if problems:  # the checks below read a 1-d length
-        raise ValueError("; ".join(problems))
-    nd = pair.displacement.shape[0]
-    nl = pair.load.shape[0]
-    if nd != nl:
-        problems.append(
-            f"length mismatch: displacement has {nd} samples, load has {nl}"
-        )
-    if min(nd, nl) < 2:
-        problems.append(f"too short: {min(nd, nl)} samples, need at least 2")
-    for name, arr in columns:
-        finite = np.isfinite(arr)
-        if not finite.all():
-            idx = int(np.argmin(finite))
-            problems.append(f"non-finite {name} value at index {idx}")
-    if problems:
-        raise ValueError("; ".join(problems))
-    return pair
 
 
 # Suffixes for which np.loadtxt, given a path, unpacks the file as an
@@ -149,7 +141,8 @@ def _loadtxt(source, skiprows, delimiter, columns):
 
 def _walk_lines(fh, path, delimiter, displacement_column, load_column, ncols, skip):
     """Both designated columns parsed line by line after the first
-    ``skip`` lines; raises ParseError at the first line that breaks the format."""
+    ``skip`` lines; raises ParseError at the first line that breaks the
+    format or holds a non-finite value."""
     disp, load = [], []
     for lineno, raw in enumerate(fh, start=1):
         line = raw.strip()
@@ -164,13 +157,12 @@ def _walk_lines(fh, path, delimiter, displacement_column, load_column, ncols, sk
             )
         d = _parse_cell(cells[displacement_column])
         f = _parse_cell(cells[load_column])
-        if d is None or f is None:
-            col = displacement_column if d is None else load_column
-            raise ParseError(
-                f"non-numeric value {cells[col]!r} in column {col}",
-                path=path,
-                line=lineno,
-            )
+        for col, value in ((displacement_column, d), (load_column, f)):
+            if value is None or not math.isfinite(value):
+                kind = "non-numeric" if value is None else "non-finite"
+                raise ParseError(
+                    f"{kind} value {cells[col]!r} in column {col}", path=path, line=lineno
+                )
         disp.append(d)
         load.append(f)
     return np.array(disp), np.array(load)
@@ -208,7 +200,7 @@ def load_record(
     displacement_column: int = 0,
     load_column: int = 1,
 ) -> SignalPair:
-    """Read a delimiter-separated record into a validated SignalPair.
+    """Read a delimiter-separated record into a SignalPair.
 
     Column indices are 0-based; a negative index counts from the end of
     each line. Whitespace-only and fully empty lines are ignored, and a
@@ -244,16 +236,16 @@ def load_record(
                 fh.seek(0)
                 lines = filter(None, map(str.strip, fh))
                 table = _loadtxt(lines, header, delimiter, columns)
-        if table is not None:
+        if table is not None and np.isfinite(table).all():
             disp, load = table.T.copy()  # each column contiguous, as the walk's
-        else:
+        else:  # the walk also names the line of a non-finite value
             fh.seek(0)
             disp, load = _walk_lines(fh, path, delimiter, *columns, ncols, skip)
     if len(disp) < 2:
         raise ParseError(
             f"too short: found {len(disp)} data rows, need at least 2", path=path
         )
-    return validate(SignalPair(disp, load))
+    return SignalPair(disp, load)
 
 
 def format_number(x: float, precision: int = OUTPUT_PRECISION) -> str:

@@ -20,13 +20,14 @@ prepared record; elsewhere the platform's method pickles it into each.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from pivotfit.ingest import SignalPair, validate
+from pivotfit.ingest import SignalPair
 from pivotfit.pivot import PARAM_NAMES, History, PivotParams, simulate
 
 
@@ -46,7 +47,7 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class ParamBounds:
-    """Per-parameter (lower, upper) search bounds.
+    """Per-parameter (lower, upper) search bounds, checked when built.
 
     Defaults bracket all fitted values reported for the model with
     margin.
@@ -64,11 +65,13 @@ class ParamBounds:
     def upper(self) -> np.ndarray:
         return np.array([getattr(self, n)[1] for n in PARAM_NAMES])
 
-    def validate(self):
+    def __post_init__(self):
         for name in PARAM_NAMES:
             value = getattr(self, name)
-            if np.shape(value) != (2,):
-                raise ValueError(f"{name} bounds must be a (lo, hi) pair, got {value!r}")
+            if np.shape(value) != (2,) or not all(isinstance(v, numbers.Real) for v in value):
+                raise ValueError(
+                    f"{name} bounds must be a (lo, hi) pair of numbers, got {value!r}"
+                )
         lo, hi = self.lower(), self.upper()
         try:  # a box is admissible when both of its corners are
             PivotParams(*lo.tolist()), PivotParams(*hi.tolist())
@@ -88,7 +91,8 @@ class ParamBounds:
 
 @dataclass(frozen=True)
 class GAConfig:
-    """The GA settings a caller sets; the operator settings are constants."""
+    """The GA settings a caller sets, checked when built; the operator
+    settings are constants."""
 
     population_size: int = 50
     max_generations: int = 300
@@ -96,7 +100,7 @@ class GAConfig:
     rng_seed: int = 0
     workers: int = 1
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("population_size", "max_generations", "rng_seed", "workers"):
             value = getattr(self, name)  # bool is an int, but not a count or a seed
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -109,7 +113,8 @@ class GAConfig:
             raise ValueError("workers must be positive")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be a non-negative integer")
-        self.bounds.validate()
+        if not isinstance(self.bounds, ParamBounds):
+            raise ValueError(f"bounds must be a ParamBounds, got {self.bounds!r}")
 
 
 @dataclass
@@ -263,8 +268,7 @@ def fit(
     best-ever individual and ``history`` the full per-generation record.
     Fully reproducible from ``config.rng_seed``, independent of
     ``config.workers``. ``on_generation(generation, history)`` is called
-    after each generation is recorded. A FitError stops it before any
-    genome is scored on a record the engine cannot run, at the first
+    after each generation is recorded. A FitError stops it at the first
     candidate in population order the engine cannot run (naming it), or
     after a first generation with no finite score. On Linux its
     ``workers`` − 1 children are forked, whatever start method is set;
@@ -272,12 +276,7 @@ def fit(
     """
     if config is None:
         config = GAConfig()
-    config.validate()
-    try:
-        validate(resampled)
-        prepared = History(backbone, resampled.displacement)
-    except ValueError as exc:
-        raise FitError(f"the record cannot be simulated: {exc}") from exc
+    prepared = History(backbone, resampled.displacement)
 
     lo = config.bounds.lower()
     hi = config.bounds.upper()

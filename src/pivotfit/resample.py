@@ -13,18 +13,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from pivotfit.ingest import SignalPair, validate
+from pivotfit.ingest import SignalPair
 
 
 def regular_reduce(pair: SignalPair, step: int) -> SignalPair:
     """Keep samples at 1-based indices 1, 1+m, 1+2m, ... of both arrays.
 
-    Output length is ceil(n/m). ``step`` of 1 returns an identical pair.
+    Output length is ceil(n/m), which must be at least 2. ``step`` of 1
+    returns an identical pair.
     """
     if int(step) != step or step < 1:
         raise ValueError(f"reduction step must be a positive integer, got {step}")
     step = int(step)
-    validate(pair)
+    kept = -(-len(pair) // step)
+    if kept < 2:
+        raise ValueError(
+            f"reduction step {step} keeps {kept} of {len(pair)} samples, need at least 2"
+        )
     return SignalPair(pair.displacement[::step], pair.load[::step])
 
 
@@ -92,7 +97,6 @@ def irregular_resample(pair: SignalPair, scale: int, changes) -> SignalPair:
     if int(scale) != scale or scale <= 10:
         raise ValueError(f"resampling scale must be an integer > 10, got {scale}")
     scale = int(scale)
-    validate(pair)
 
     n = len(pair)
     changes = np.asarray(changes, dtype=int)
@@ -135,9 +139,7 @@ def irregular_resample(pair: SignalPair, scale: int, changes) -> SignalPair:
 
     if not out_disp:
         raise ValueError("resampling produced an empty record (no segment spans a grid cell)")
-    result = SignalPair(
-        np.concatenate(out_disp) / scale, np.concatenate(out_load) / scale
-    )
-    if len(result) < 2:
+    out_disp = np.concatenate(out_disp)
+    if out_disp.shape[0] < 2:
         raise ValueError("resampling produced fewer than 2 samples")
-    return result
+    return SignalPair(out_disp / scale, np.concatenate(out_load) / scale)

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from pivotfit.ingest import ParseError, SignalPair, format_number, validate
+from pivotfit.ingest import ParseError, SignalPair, format_number
 from pivotfit.pivot import PivotParams
 
 
@@ -46,20 +46,26 @@ def load_record_oracle(path, delimiter=",", displacement_column=0, load_column=1
             )
         d = parse(cells[displacement_column])
         f = parse(cells[load_column])
-        if d is None or f is None:
-            col = displacement_column if d is None else load_column
-            raise ParseError(
-                f"non-numeric value {cells[col]!r} in column {col}",
-                path=path,
-                line=lineno,
-            )
+        for col, value in ((displacement_column, d), (load_column, f)):
+            if value is None:
+                raise ParseError(
+                    f"non-numeric value {cells[col]!r} in column {col}",
+                    path=path,
+                    line=lineno,
+                )
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"non-finite value {cells[col]!r} in column {col}",
+                    path=path,
+                    line=lineno,
+                )
         disp.append(d)
         load.append(f)
     if len(disp) < 2:
         raise ParseError(
             f"too short: found {len(disp)} data rows, need at least 2", path=path
         )
-    return validate(SignalPair(np.array(disp), np.array(load)))
+    return SignalPair(np.array(disp), np.array(load))
 
 
 def write_columns_oracle(path, header, columns, precision=9):

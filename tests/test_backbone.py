@@ -18,12 +18,19 @@ from pivotfit.resample import sign_flips
 from oracles import envelope_oracle, random_cyclic_record
 
 
-def assert_matches_oracle(env, d, f):
-    """env equals the oracle's envelope of (d, f) byte for byte, so
-    signed zeros count."""
+def assert_matches_oracle(d, f):
+    """The envelope of (d, f) equals the oracle's byte for byte, so
+    signed zeros count; where the oracle finds one point it is refused.
+    Returns the envelope it checked."""
     expected = np.array(envelope_oracle(d.tolist(), f.tolist())).T
+    if expected.shape[1] < 2:
+        with pytest.raises(ValueError, match="^the envelope has one point: "):
+            extract_envelope(SignalPair(d, f))
+        return
+    env = extract_envelope(SignalPair(d, f))
     assert env.displacement.tobytes() == expected[0].tobytes()
     assert env.load.tobytes() == expected[1].tobytes()
+    return env
 
 
 def test_envelope_hand_example():
@@ -37,12 +44,13 @@ def test_envelope_hand_example():
 
 def test_envelope_single_half_sine_is_degenerate():
     x = np.linspace(0, np.pi, 25)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        env = extract_envelope(SignalPair(x, np.sin(x) + 0.001))
-    assert len(env) == 1
-    assert env.load[0] == pytest.approx(1.001, abs=1e-2)
-    assert any("degenerate" in str(w.message) for w in caught)
+    message = "the envelope has one point: the load never changes sign"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        extract_envelope(SignalPair(x, np.sin(x) + 0.001))
+    # two half-cycles whose peaks share one displacement
+    message = "the envelope has one point: every half-cycle peaks at one displacement"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        extract_envelope(SignalPair([1.0, 1.0], [2.0, -1.0]))
 
 
 def test_envelope_negation_symmetry():
@@ -73,11 +81,8 @@ def test_envelope_matches_oracle_randomized():
     for make in (random_cyclic_record, _tied_cyclic_record):
         for _ in range(100):
             d, f = make(rng)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # degenerate records warn
-                env = extract_envelope(SignalPair(d, f))
-            assert_matches_oracle(env, d, f)
-            merged += sign_flips(f).size + 1 - len(env)
+            assert_matches_oracle(d, f)
+            merged += sign_flips(f).size + 1 - len(envelope_oracle(d.tolist(), f.tolist()))
     assert merged > 100  # the tie rule is exercised
 
 
@@ -115,13 +120,7 @@ def test_envelope_zero_loads_match_oracle_randomized():
             f[:k] = _signed_zeros(rng, k)
             k = int(rng.integers(0, 4))
             f[n - k :] = _signed_zeros(rng, k)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # degenerate records warn
-            env = extract_envelope(SignalPair(d, f))
-        expected = np.array(envelope_oracle(d.tolist(), f.tolist())).T
-        np.testing.assert_array_equal(env.displacement, expected[0])
-        np.testing.assert_array_equal(env.load, expected[1])
-        assert env.load.tobytes() == expected[1].tobytes()  # 0.0 vs -0.0
+        assert_matches_oracle(d, f)
 
 
 def test_envelope_duplicate_displacement_keeps_outer():
@@ -136,16 +135,14 @@ def test_envelope_duplicate_displacement_keeps_outer():
     # a signed-zero tie keeps one whole sample, (-0.0, 5.0)
     d = np.array([0.0, 0.5, -1.0, -0.5, -0.0, 0.3])
     f = np.array([1.0, 0.5, -2.0, -1.0, 5.0, 0.2])
-    env = extract_envelope(SignalPair(d, f))
-    assert_matches_oracle(env, d, f)
+    env = assert_matches_oracle(d, f)
     assert (np.signbit(env.displacement[1]), env.load[1]) == (True, 5.0)
 
     # equal |load| of opposite signs: the earlier half-cycle's point
     # stays; the last half-cycle, [-1], keeps its own point (0, -1)
     d = np.array([0, 1, 1.5, 1, 0.5, 2, 0])
     f = np.array([0.1, 8, 2, -8, -2, 9, -1])
-    env = extract_envelope(SignalPair(d, f))
-    assert_matches_oracle(env, d, f)
+    env = assert_matches_oracle(d, f)
     np.testing.assert_array_equal(env.displacement, [0, 1, 2])
     np.testing.assert_array_equal(env.load, [-1, 8, 9])
 
@@ -155,8 +152,7 @@ def test_envelope_one_sample_half_cycle_keeps_its_own_point():
     # it: its point is (1.9, -0.5), not a sample of its neighbour
     d = np.array([0, 1, 2, 1.9, 1.8, 2.5])
     f = np.array([1, 5, 9, -0.5, 3, 10])
-    env = extract_envelope(SignalPair(d, f))
-    assert_matches_oracle(env, d, f)
+    env = assert_matches_oracle(d, f)
     np.testing.assert_array_equal(env.displacement, [1.9, 2, 2.5])
     np.testing.assert_array_equal(env.load, [-0.5, 9, 10])
 

@@ -385,6 +385,34 @@ def test_bad_cell_reports_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "cell, message",
+    [("oops", "non-numeric value 'oops'"), ("NaN", "non-finite value 'NaN'")],
+    ids=["non_numeric", "nan"],
+)
+def test_bad_load_cell_reports_file_and_line(tmp_path, capsys, cell, message):
+    raw = tmp_path / "bad.csv"
+    raw.write_text(f"d,f\n0,0\n\n0.1,1\n0.2,{cell}\n0.3,2\n")
+    code = main(["resample", "--input", str(raw), "--outdir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"pivotfit: stage 'resample': {raw}: line 5: {message} in column 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_reduction_step_that_keeps_one_sample_is_named(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    disp, _ = make_raw_record(raw, n_per_leg=40)
+    code = main(["resample", "--input", str(raw), "--outdir", str(tmp_path / "out"),
+                 "--step", "1000"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"pivotfit: stage 'resample': reduction step 1000 keeps 1 of {len(disp)} "
+        "samples, need at least 2\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_column_beyond_a_row_reports_line(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text("0,1\n1,2\n2,3\n")
@@ -612,8 +640,8 @@ def test_module_runs_as_script(tmp_path):
 
 
 def test_load_that_never_changes_sign_stops_the_pipeline_at_the_backbone(tmp_path):
-    """A one-sided record gives a one-point envelope, which idealization
-    refuses, so no completed run can hold a degenerate envelope."""
+    """A one-sided record gives a one-point envelope, which envelope
+    extraction refuses, so no run writes a degenerate envelope."""
     raw = tmp_path / "raw.csv"
     disp, load = make_raw_record(raw, n_per_leg=40)
     write_record(SignalPair(disp, load - load.min() + 1.0), raw)  # every load > 0
@@ -625,12 +653,11 @@ def test_load_that_never_changes_sign_stops_the_pipeline_at_the_backbone(tmp_pat
         capture_output=True, text=True,
     )
     assert run.returncode == 1
-    assert (
-        "pivotfit: warning: load never changes sign: degenerate single-extremum envelope\n"
-        in run.stderr
+    assert run.stderr == (
+        "pivotfit: stage 'backbone': the envelope has one point: the load never changes sign\n"
     )
-    assert "stage 'backbone': need at least 3 envelope points per side" in run.stderr
     assert (tmp_path / "out" / "resampled.csv").exists()
+    assert not (tmp_path / "out" / "envelope.csv").exists()
     assert not (tmp_path / "out" / "idealized.csv").exists()
     assert not (tmp_path / "out" / "manifest.json").exists()
 

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pivotfit import (
+    GAConfig,
+    ParamBounds,
     ParseError,
     SignalPair,
+    idealize,
     load_record,
-    validate,
     write_record,
 )
 from pivotfit import ingest
@@ -88,6 +90,20 @@ def test_empty_delimiter_is_rejected_by_name(tmp_path):
         load_record(tmp_path / "nope.csv", delimiter="")
 
 
+@pytest.mark.parametrize("cell", ["NaN", "-inf", "1e999"])
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("delimiter", [",", "\t", ";;"])
+def test_non_finite_cell_names_its_line(tmp_path, delimiter, column, cell):
+    row = ["0.2", "3"]
+    row[column] = cell
+    lines = ["d,f", "0,0", "", "0.1,1", ",".join(row), "0.3,2"]
+    p = tmp_path / "rec.csv"
+    write_lines(p, [line.replace(",", delimiter) for line in lines])
+    with pytest.raises(ParseError) as err:
+        load_record(p, delimiter)
+    assert str(err.value) == f"{p}: line 5: non-finite value {cell!r} in column {column}"
+
+
 def test_row_with_missing_cell_reports_line(tmp_path):
     p = tmp_path / "rec.csv"
     write_lines(p, ["0,0", "1", "2,4"])
@@ -95,22 +111,16 @@ def test_row_with_missing_cell_reports_line(tmp_path):
         load_record(p)
 
 
-def test_validate_returns_same_pair():
-    pair = SignalPair([0, 1, 2], [0, 1, 2])
-    assert validate(pair) is pair
-    assert validate(validate(pair)) is pair  # idempotent
-
-
 def test_validate_nan_names_index():
     load = np.arange(6.0)
     load[4] = np.nan
     with pytest.raises(ValueError, match="index 4"):
-        validate(SignalPair(np.arange(6.0), load))
+        SignalPair(np.arange(6.0), load)
 
 
 def test_validate_length_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        validate(SignalPair(np.arange(5.0), np.arange(6.0)))
+        SignalPair(np.arange(5.0), np.arange(6.0))
 
 
 @pytest.mark.parametrize(
@@ -129,15 +139,71 @@ def test_validate_length_mismatch():
     ],
     ids=["displacement_3x2", "load_0d", "both"],
 )
-def test_validate_names_a_column_that_is_not_1d(tmp_path, displacement, load, problems):
-    pair = SignalPair(displacement, load)
+def test_validate_names_a_column_that_is_not_1d(displacement, load, problems):
     with pytest.raises(ValueError) as err:
-        validate(pair)
+        SignalPair(displacement, load)
     assert str(err.value) == "; ".join(problems)
-    # the writer refuses the column before it opens the file
+
+
+@pytest.mark.parametrize("bad", [1, 0], ids=["second", "first"])
+def test_write_columns_refuses_a_column_that_is_not_1d(tmp_path, bad):
+    # refused before the file is opened
+    columns = [np.zeros(3), np.ones(3)]
+    columns[bad] = columns[bad].reshape(3, 1)
     path = tmp_path / "rec.csv"
-    with pytest.raises(ValueError, match=r"column [01] must be 1-d, got shape \("):
-        write_record(pair, path)
+    with pytest.raises(ValueError, match=rf"column {bad} must be 1-d, got shape \(3, 1\)"):
+        write_columns(path, ["d", "f"], columns)
+    assert not path.exists()
+
+
+ENVELOPE_D = np.array([-3.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0])
+ENVELOPE_F = np.array([-10.0, -12.0, -9.0, -4.0, 4.0, 9.0, 12.0, 10.0])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda path: idealize(SignalPair(ENVELOPE_D, ENVELOPE_F[:-1])),
+            "length mismatch: displacement has 8 samples, load has 7",
+        ),
+        (
+            lambda path: idealize(SignalPair(ENVELOPE_D, np.r_[np.nan, ENVELOPE_F[1:]])),
+            "non-finite load value at index 0",
+        ),
+        (
+            lambda path: write_record(SignalPair([0.0, 1.0, 2.0], [0.0, np.nan, 1.0]), path),
+            "non-finite load value at index 1",
+        ),
+        (lambda path: GAConfig(population_size=-5), "population_size must exceed the 2 elites"),
+        (
+            lambda path: ParamBounds(alpha1=(0, 1)),
+            "bounds exceed the admissible parameter ranges: alpha1 and alpha2 must be >= 1",
+        ),
+        (
+            lambda path: ParamBounds(alpha1=("1", "2")),
+            "alpha1 bounds must be a (lo, hi) pair of numbers, got ('1', '2')",
+        ),
+        (
+            lambda path: GAConfig(bounds={"alpha1": (1, 2)}),
+            "bounds must be a ParamBounds, got {'alpha1': (1, 2)}",
+        ),
+    ],
+    ids=[
+        "mismatched_envelope",
+        "nan_envelope",
+        "write_nan_pair",
+        "negative_population",
+        "inadmissible_bounds",
+        "bound_of_strings",
+        "bounds_of_a_dict",
+    ],
+)
+def test_a_value_refuses_bad_contents_when_it_is_built(tmp_path, build, message):
+    path = tmp_path / "rec.csv"
+    with pytest.raises(ValueError) as err:
+        build(path)
+    assert str(err.value) == message
     assert not path.exists()
 
 
@@ -146,13 +212,13 @@ def test_validate_reports_each_violation():
     load = np.arange(6.0)
     load[2] = np.inf
     with pytest.raises(ValueError) as err:
-        validate(SignalPair(disp, load))
+        SignalPair(disp, load)
     assert str(err.value) == (
         "length mismatch: displacement has 5 samples, load has 6; "
         "non-finite load value at index 2"
     )
     with pytest.raises(ValueError) as err:
-        validate(SignalPair([0.0], [0.0]))
+        SignalPair([0.0], [0.0])
     assert str(err.value) == "too short: 1 samples, need at least 2"
 
 

@@ -6,13 +6,10 @@ import numpy as np
 import pytest
 
 from pivotfit import (
-    FitError,
-    GAConfig,
     IdealizedBackbone,
     ParamBounds,
     PivotParams,
     SignalPair,
-    fit,
     simulate,
 )
 from pivotfit.pivot import History
@@ -324,12 +321,9 @@ def test_engine_rejects_non_finite_displacement(symmetric_backbone):
         hist = np.array([0.0, 0.5, bad, 1.0])
         with pytest.raises(ValueError, match="finite"):
             simulate(g, params, hist)
-        # the GA fails once, on the record, not once per genome
-        record = SignalPair(hist, np.zeros(4))
-        for workers in (1, 2):
-            config = GAConfig(population_size=4, max_generations=2, workers=workers)
-            with pytest.raises(FitError, match="finite"):
-                fit(record, g, config)
+        # such a record never reaches the GA: its pair is refused when built
+        with pytest.raises(ValueError, match="non-finite displacement value at index 2"):
+            SignalPair(hist, np.zeros(4))
 
 
 def random_params(rng):

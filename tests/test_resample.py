@@ -48,7 +48,12 @@ def test_reduce_rejects_bad_stride():
 @given(st.integers(min_value=2, max_value=300), st.integers(min_value=1, max_value=300))
 def test_reduce_length_is_ceil(n, m):
     pair = SignalPair(np.arange(float(n)), np.arange(float(n)))
-    assert len(regular_reduce(pair, m)) == math.ceil(n / m)
+    if math.ceil(n / m) < 2:
+        message = f"reduction step {m} keeps 1 of {n} samples, need at least 2"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            regular_reduce(pair, m)
+    else:
+        assert len(regular_reduce(pair, m)) == math.ceil(n / m)
 
 
 # -- reversal detection ---------------------------------------------------
