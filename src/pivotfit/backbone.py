@@ -8,8 +8,8 @@ half-cycle before them: the rule (``resample.sign_flips``) that also
 splits displacement into monotone segments. A displacement tie keeps the
 whole sample with the larger |load|, or the earlier half-cycle's on
 equal |load|. The idealization reduces it to seven points: on each side
-an elastic-limit point (first point whose load magnitude exceeds 65% of
-the side's extreme load), the extreme-load point and the
+an elastic-limit point (its first point out from the origin whose |load|
+exceeds 65% of the side's extreme load), the extreme-load point and the
 extreme-displacement point, plus the origin. The idealized backbone is
 also the geometry the Pivot engine runs on: it carries the yield points,
 stiffnesses and envelope interpolant the engine reads, so no conversion
@@ -145,12 +145,12 @@ def idealize(env: SignalPair) -> IdealizedBackbone:
     returns them; a point below the one before it is refused, equal
     neighbours are not (a low-precision ``envelope.csv`` can round two
     together). Requires at least 3 points on each displacement sign side.
-    The elastic-limit scan on the positive side walks points in ascending
-    displacement order and stops at the first load exceeding 65% of the
-    maximum envelope load; the negative side mirrors it in descending order
-    against 65% of the minimum. If a scan stops at the extreme-load point
-    itself the yield point coincides with the peak; this is flagged and
-    warned about, not an error.
+    The elastic-limit scan walks the positive-displacement points in
+    ascending order and stops at the first load exceeding 65% of the
+    maximum envelope load; the negative side mirrors it over its own
+    points in descending order against 65% of the minimum. If a scan
+    stops at the extreme-load point itself the yield point coincides with
+    the peak; this is flagged and warned about, not an error.
     """
     d = env.displacement
     f = env.load
@@ -186,10 +186,11 @@ def idealize(env: SignalPair) -> IdealizedBackbone:
     if f_max <= 0 or f_min >= 0:
         raise ValueError("envelope must contain both positive and negative loads")
 
-    # Elastic-limit points: first threshold crossing per side, scanning
-    # ascending displacement on the positive side, descending on the
-    # negative one. A threshold that rounds to a tiny extreme load has none.
-    above, below = f > YIELD_FRACTION * f_max, f[::-1] < YIELD_FRACTION * f_min
+    # Elastic-limit points: first threshold crossing among each side's own
+    # points, ascending on the positive side, descending on the negative
+    # one. A threshold that rounds to a tiny extreme load has none.
+    above = (f > YIELD_FRACTION * f_max) & (d > 0)
+    below = ((f < YIELD_FRACTION * f_min) & (d < 0))[::-1]
     for side, crossed in (("positive", above), ("negative", below)):
         if not crossed.any():
             raise ValueError(f"no {side}-side point exceeds 65% of its extreme load")

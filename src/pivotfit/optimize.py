@@ -68,7 +68,11 @@ class ParamBounds:
     def __post_init__(self):
         for name in PARAM_NAMES:
             value = getattr(self, name)
-            if np.shape(value) != (2,) or not all(isinstance(v, numbers.Real) for v in value):
+            try:  # a ragged, unsized or unindexable value is no pair either
+                ok = len(value) == 2 and all(isinstance(v, numbers.Real) for v in value[:2])
+            except (TypeError, KeyError):
+                ok = False
+            if not ok:
                 raise ValueError(
                     f"{name} bounds must be a (lo, hi) pair of numbers, got {value!r}"
                 )

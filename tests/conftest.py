@@ -28,6 +28,17 @@ def triangle_protocol(peaks, pts=80):
     return np.concatenate(segs)
 
 
+def random_params(rng):
+    """Pivot parameters drawn uniformly over their default search box."""
+    return PivotParams(
+        rng.uniform(1, 100),
+        rng.uniform(1, 100),
+        rng.uniform(0, 1),
+        rng.uniform(0, 1),
+        rng.uniform(0, 1000),
+    )
+
+
 def uniform_grid_protocol(peaks, step):
     """Triangle protocol sampled with exactly uniform |increments|."""
     segs = [np.arange(0.0, peaks[0], step)]

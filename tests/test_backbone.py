@@ -76,13 +76,13 @@ def _tied_cyclic_record(rng):
 
 
 def test_envelope_matches_oracle_randomized():
+    # on tied records; c03 checks untied random ones
     rng = np.random.default_rng(11)
     merged = 0
-    for make in (random_cyclic_record, _tied_cyclic_record):
-        for _ in range(100):
-            d, f = make(rng)
-            assert_matches_oracle(d, f)
-            merged += sign_flips(f).size + 1 - len(envelope_oracle(d.tolist(), f.tolist()))
+    for _ in range(100):
+        d, f = _tied_cyclic_record(rng)
+        assert_matches_oracle(d, f)
+        merged += sign_flips(f).size + 1 - len(envelope_oracle(d.tolist(), f.tolist()))
     assert merged > 100  # the tie rule is exercised
 
 
@@ -246,42 +246,18 @@ def test_idealize_names_a_side_without_an_elastic_limit_point(side):
         idealize(SignalPair(d, f))
 
 
-def test_idealize_invariants_on_randomized_envelopes():
-    rng = np.random.default_rng(5)
-    checked = 0
-    for _ in range(200):
-        d, f = random_cyclic_record(rng, n_cycles=4)
-        env = extract_envelope(SignalPair(d, f))
-        if np.sum(env.displacement < 0) < 3 or np.sum(env.displacement > 0) < 3:
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ib = idealize(env)
-        checked += 1
-        dd, ff = ib.displacement, ib.load
-        assert dd[3] == 0 and ff[3] == 0
-        assert np.all(np.diff(dd) >= 0)
-        assert np.all(dd[:3] <= 0) and np.all(dd[4:] >= 0)
-        assert ff[5] == env.load.max() and ff[1] == env.load.min()
-        assert dd[6] == env.displacement.max() and dd[0] == env.displacement.min()
-        assert ff[4] > 0.65 * env.load.max()
-        assert ff[2] < 0.65 * env.load.min()
-    assert checked > 50
-
-
-def test_idealize_negation_maps_points():
-    rng = np.random.default_rng(19)
-    for _ in range(30):
-        d, f = random_cyclic_record(rng, n_cycles=4)
-        env = extract_envelope(SignalPair(d, f))
-        if np.sum(env.displacement < 0) < 3 or np.sum(env.displacement > 0) < 3:
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            a = idealize(env)
-            b = idealize(extract_envelope(SignalPair(-d, -f)))
-        np.testing.assert_array_equal(b.displacement, -a.displacement[::-1])
-        np.testing.assert_array_equal(b.load, -a.load[::-1])
+def test_idealize_scans_each_side_for_its_elastic_limit_point():
+    # (0, 35.8) exceeds 65% of the 52 peak but lies on neither side, so
+    # the positive scan passes it over and stops at (1, 45)
+    d = np.array([-2, -1.5, -1, -0.5, 0, 0.5, 1, 1.5, 2])
+    f = np.array([-40, -48, -45, -20, 35.8, 30, 45, 52, 47])
+    ib = idealize(SignalPair(d, f))
+    np.testing.assert_array_equal(ib.displacement, [-2, -1.5, -1, 0, 1, 1.5, 2])
+    np.testing.assert_array_equal(ib.load, [-40, -48, -45, 0, 45, 52, 47])
+    # and the negative scan passes (0, -35.8) over on the mirrored envelope
+    mirrored = idealize(SignalPair(-d[::-1], -f[::-1]))
+    np.testing.assert_array_equal(mirrored.displacement, -ib.displacement[::-1])
+    np.testing.assert_array_equal(mirrored.load, -ib.load[::-1])
 
 
 def test_idealized_backbone_validates_shape():

@@ -129,18 +129,6 @@ def test_pipeline_byte_identical_rerun(workdir):
         assert (out / name).read_bytes() == blob, name
 
 
-def test_stage_composability(workdir):
-    tmp, raw, out, config = workdir
-    assert main(["pipeline", "--config", str(config)]) == 0
-    envelope = (out / "envelope.csv").read_bytes()
-    response = (out / "response.csv").read_bytes()
-    # re-run individual stages from the files already on disk
-    assert main(["backbone", "--config", str(config)]) == 0
-    assert (out / "envelope.csv").read_bytes() == envelope
-    assert main(["simulate", "--config", str(config)]) == 0
-    assert (out / "response.csv").read_bytes() == response
-
-
 def test_the_envelope_file_idealizes_to_the_idealized_file(workdir):
     """envelope.csv reads back as the record the backbone stage idealized."""
     tmp, raw, out, config = workdir

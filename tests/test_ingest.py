@@ -111,18 +111,6 @@ def test_row_with_missing_cell_reports_line(tmp_path):
         load_record(p)
 
 
-def test_validate_nan_names_index():
-    load = np.arange(6.0)
-    load[4] = np.nan
-    with pytest.raises(ValueError, match="index 4"):
-        SignalPair(np.arange(6.0), load)
-
-
-def test_validate_length_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        SignalPair(np.arange(5.0), np.arange(6.0))
-
-
 @pytest.mark.parametrize(
     "displacement, load, problems",
     [
@@ -139,7 +127,7 @@ def test_validate_length_mismatch():
     ],
     ids=["displacement_3x2", "load_0d", "both"],
 )
-def test_validate_names_a_column_that_is_not_1d(displacement, load, problems):
+def test_signal_pair_names_a_column_that_is_not_1d(displacement, load, problems):
     with pytest.raises(ValueError) as err:
         SignalPair(displacement, load)
     assert str(err.value) == "; ".join(problems)
@@ -207,7 +195,7 @@ def test_a_value_refuses_bad_contents_when_it_is_built(tmp_path, build, message)
     assert not path.exists()
 
 
-def test_validate_reports_each_violation():
+def test_signal_pair_reports_each_violation():
     disp = np.arange(5.0)
     load = np.arange(6.0)
     load[2] = np.inf

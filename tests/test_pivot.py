@@ -14,7 +14,7 @@ from pivotfit import (
 )
 from pivotfit.pivot import History
 from pivotfit.resample import sign_flips
-from conftest import triangle_protocol
+from conftest import random_params, triangle_protocol
 from oracles import SteppingEngine, backbone_load_oracle, step_simulate_oracle
 
 
@@ -134,15 +134,6 @@ def test_zero_history_zero_load(symmetric_backbone):
     np.testing.assert_array_equal(loads, np.zeros(20))
 
 
-def test_virgin_ramp_reproduces_backbone(symmetric_backbone, asymmetric_backbone):
-    for bb in (symmetric_backbone, asymmetric_backbone):
-        ramp = np.linspace(min(bb.displacement), 0, 40)[::-1]
-        ramp = np.concatenate([np.linspace(0, max(bb.displacement), 50)])
-        loads = simulate(bb, PivotParams(5, 5, 0.7, 0.7, 50), ramp)
-        expected = np.interp(ramp, bb.displacement, bb.load)
-        np.testing.assert_allclose(loads, expected, rtol=0, atol=1e-12)
-
-
 def test_unloading_line_geometric_oracle(symmetric_backbone):
     """Unloading from the envelope follows the line through the
     departure point and the primary pivot, for the whole positive-load
@@ -180,27 +171,6 @@ def test_virgin_reload_targets_yield_point(symmetric_backbone):
     # and the yield point itself is hit exactly
     i = int(np.argmin(np.abs(hist - g.dy_neg)))
     assert loads[i] == pytest.approx(g.fy_neg, abs=1e-12)
-
-
-def test_sub_yield_closure(symmetric_backbone, asymmetric_backbone):
-    rng = np.random.default_rng(2)
-    for g in (symmetric_backbone, asymmetric_backbone):
-        for _ in range(20):
-            params = PivotParams(
-                rng.uniform(1, 100),
-                rng.uniform(1, 100),
-                rng.uniform(0, 1),
-                rng.uniform(0, 1),
-                rng.uniform(0, 1000),
-            )
-            # random closed sub-yield history
-            pts = rng.uniform(0.95 * g.dy_neg, 0.95 * g.dy_pos, 12)
-            pts[-1] = 0.0
-            hist = np.concatenate([[0.0], pts])
-            loads = simulate(g, params, hist)
-            expected = np.where(hist >= 0, g.k_pos * hist, g.k_neg * hist)
-            np.testing.assert_allclose(loads, expected, rtol=0, atol=1e-12)
-            assert loads[-1] == 0.0
 
 
 def test_post_yield_steady_cycles_retrace_with_zero_eta(symmetric_backbone):
@@ -253,37 +223,13 @@ def test_post_yield_cycle_energy_non_negative(
     rng = np.random.default_rng(12)
     for trial in range(150):
         bb = symmetric_backbone if trial % 2 else asymmetric_backbone
-        params = PivotParams(
-            rng.uniform(1, 100),
-            rng.uniform(1, 100),
-            rng.uniform(0, 1),
-            rng.uniform(0, 1),
-            rng.uniform(0, 1000),
-        )
+        params = random_params(rng)
         amp = rng.uniform(1.3, 2.4)
         hist = triangle_protocol([amp, -amp, amp, -amp, amp], pts=80)
         loads = simulate(bb, params, hist)
         i0, i1 = 79 + 79 * 2, 79 + 79 * 4  # steady closed cycle
         energy = np.trapezoid(loads[i0 : i1 + 1], hist[i0 : i1 + 1])
         assert energy >= -1e-9
-
-
-def test_envelope_bound_random_histories(symmetric_backbone, asymmetric_backbone):
-    rng = np.random.default_rng(14)
-    for bb in (symmetric_backbone, asymmetric_backbone):
-        f_lo, f_hi = min(bb.load), max(bb.load)
-        for _ in range(200):
-            params = PivotParams(
-                rng.uniform(1, 100),
-                rng.uniform(1, 100),
-                rng.uniform(0, 1),
-                rng.uniform(0, 1),
-                rng.uniform(0, 1000),
-            )
-            hist = np.clip(np.cumsum(rng.normal(0, 0.5, 60)), -5.0, 6.0)
-            loads = simulate(bb, params, hist)
-            assert loads.max() <= f_hi + 1e-9 * abs(f_hi)
-            assert loads.min() >= f_lo - 1e-9 * abs(f_lo)
 
 
 def test_branch_continuity(symmetric_backbone):
@@ -324,16 +270,6 @@ def test_engine_rejects_non_finite_displacement(symmetric_backbone):
         # such a record never reaches the GA: its pair is refused when built
         with pytest.raises(ValueError, match="non-finite displacement value at index 2"):
             SignalPair(hist, np.zeros(4))
-
-
-def random_params(rng):
-    return PivotParams(
-        rng.uniform(1, 100),
-        rng.uniform(1, 100),
-        rng.uniform(0, 1),
-        rng.uniform(0, 1),
-        rng.uniform(0, 1000),
-    )
 
 
 def random_backbone(rng):

