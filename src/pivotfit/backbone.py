@@ -7,10 +7,11 @@ before the next load of the other sign, so zero loads stay with the
 half-cycle before them: the rule (``resample.sign_flips``) that also
 splits displacement into monotone segments. A displacement tie keeps the
 whole sample with the larger |load|, or the earlier half-cycle's on
-equal |load|. The idealization reduces it to seven points: on each side
-an elastic-limit point (its first point out from the origin whose |load|
-exceeds 65% of the side's extreme load), the extreme-load point and the
-extreme-displacement point, plus the origin. The idealized backbone is
+equal |load|. The idealization reduces it to seven points, the origin
+and three knots on each side, taken from that side's own points in order
+out from the origin: each knot is the side's first point with a property,
+the largest |displacement| (ultimate), the largest |load| (extreme) and a
+|load| above 65% of that extreme (elastic limit). The idealized backbone is
 also the geometry the Pivot engine runs on: it carries the yield points,
 stiffnesses and envelope interpolant the engine reads, so no conversion
 sits between ``idealize`` and ``simulate``.
@@ -144,13 +145,13 @@ def idealize(env: SignalPair) -> IdealizedBackbone:
     The envelope's points ascend by displacement, as ``extract_envelope``
     returns them; a point below the one before it is refused, equal
     neighbours are not (a low-precision ``envelope.csv`` can round two
-    together). Requires at least 3 points on each displacement sign side.
-    The elastic-limit scan walks the positive-displacement points in
-    ascending order and stops at the first load exceeding 65% of the
-    maximum envelope load; the negative side mirrors it over its own
-    points in descending order against 65% of the minimum. If a scan
-    stops at the extreme-load point itself the yield point coincides with
-    the peak; this is flagged and warned about, not an error.
+    together). Each side takes its knots from its own points, at least 3,
+    in order out from the origin: each knot is the side's first point
+    with the largest |displacement| (ultimate), with the largest |load|
+    (extreme), and with a |load| above 65% of that extreme (elastic
+    limit). A point at zero displacement is on neither side. If the
+    elastic limit is the extreme-load point itself, that side is flagged
+    and warned about, not refused.
     """
     d = env.displacement
     f = env.load
@@ -158,46 +159,26 @@ def idealize(env: SignalPair) -> IdealizedBackbone:
     if drops.size:
         i = drops[0]
         raise ValueError(f"envelope point {i} (d={d[i]:g}) is below point {i - 1}")
-    n_neg = int(np.sum(d < 0))
-    n_pos = int(np.sum(d > 0))
-    if n_neg < 3 or n_pos < 3:
-        raise ValueError(
-            f"need at least 3 envelope points per side, got {n_neg} negative "
-            f"and {n_pos} positive"
-        )
 
-    out_d = np.zeros(7)
-    out_f = np.zeros(7)
-
-    # Ultimate-displacement points (earliest index on ties).
-    i_dmax = int(np.argmax(d))
-    i_dmin = int(np.argmin(d))
-    out_d[6], out_f[6] = d[i_dmax], f[i_dmax]
-    out_d[0], out_f[0] = d[i_dmin], f[i_dmin]
-
-    # Extreme-load points.
-    i_fmax = int(np.argmax(f))
-    i_fmin = int(np.argmin(f))
-    out_d[5], out_f[5] = d[i_fmax], f[i_fmax]
-    out_d[1], out_f[1] = d[i_fmin], f[i_fmin]
-
-    f_max = f[i_fmax]
-    f_min = f[i_fmin]
-    if f_max <= 0 or f_min >= 0:
-        raise ValueError("envelope must contain both positive and negative loads")
-
-    # Elastic-limit points: first threshold crossing among each side's own
-    # points, ascending on the positive side, descending on the negative
-    # one. A threshold that rounds to a tiny extreme load has none.
-    above = (f > YIELD_FRACTION * f_max) & (d > 0)
-    below = ((f < YIELD_FRACTION * f_min) & (d < 0))[::-1]
-    for side, crossed in (("positive", above), ("negative", below)):
+    out_d, out_f = np.zeros(7), np.zeros(7)
+    for side, s in (("negative", -1), ("positive", 1)):
+        idx = np.flatnonzero(s * d > 0)[::s]  # out from the origin
+        if idx.size < 3:
+            raise ValueError(
+                f"need at least 3 envelope points per side, got {idx.size} {side}"
+            )
+        side_d, side_f = s * d[idx], s * f[idx]
+        peak = np.argmax(side_f)
+        if side_f[peak] <= 0:
+            raise ValueError(f"no {side}-side point has a {side} load")
+        # a threshold that rounds to a tiny extreme load has no crossing
+        crossed = side_f > YIELD_FRACTION * side_f[peak]
         if not crossed.any():
             raise ValueError(f"no {side}-side point exceeds 65% of its extreme load")
-    i_yield_pos = int(np.argmax(above))
-    i_yield_neg = len(f) - 1 - int(np.argmax(below))
-    out_d[4], out_f[4] = d[i_yield_pos], f[i_yield_pos]
-    out_d[2], out_f[2] = d[i_yield_neg], f[i_yield_neg]
+        # elastic limit, extreme load, ultimate: points 5-7, or 3-1
+        knots = idx[[np.argmax(crossed), peak, np.argmax(side_d)]]
+        at = 3 + s * np.arange(1, 4)
+        out_d[at], out_f[at] = d[knots], f[knots]
 
     ideal = IdealizedBackbone(out_d, out_f)
     yep, yen = ideal.yield_equals_peak_positive, ideal.yield_equals_peak_negative

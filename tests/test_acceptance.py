@@ -149,23 +149,17 @@ def test_c04_idealization_contract():
         assert d.shape == (7,) and f.shape == (7,)
         assert np.all(np.diff(d) >= 0)
         assert d[3] == 0.0 and f[3] == 0.0
-        assert f[5] == env.load.max() and f[1] == env.load.min()
-        assert d[6] == env.displacement.max() and d[0] == env.displacement.min()
-        # first threshold crossings, each among its own side's points
-        thresh_pos = 0.65 * env.load.max()
-        firsts = [
-            i
-            for i in range(len(env))
-            if env.load[i] > thresh_pos and env.displacement[i] > 0
-        ]
-        assert (env.displacement[firsts[0]], env.load[firsts[0]]) == (d[4], f[4])
-        thresh_neg = 0.65 * env.load.min()
-        firsts = [
-            i
-            for i in range(len(env) - 1, -1, -1)
-            if env.load[i] < thresh_neg and env.displacement[i] < 0
-        ]
-        assert (env.displacement[firsts[0]], env.load[firsts[0]]) == (d[2], f[2])
+        # each knot is its side's first point, out from the origin, with
+        # the largest |load|, the largest |displacement| and a |load| above
+        # 65% of the side's own extreme
+        points = list(zip(env.displacement, env.load))
+        for s, (elastic, extreme, ultimate) in ((1, (4, 5, 6)), (-1, (2, 1, 0))):
+            side = [p for p in points if s * p[0] > 0][::s]
+            peak = max(side, key=lambda p: s * p[1])
+            assert (d[extreme], f[extreme]) == peak
+            assert (d[ultimate], f[ultimate]) == max(side, key=lambda p: s * p[0])
+            first = next(p for p in side if s * p[1] > 0.65 * (s * peak[1]))
+            assert (d[elastic], f[elastic]) == first
         # antisymmetry: negation maps point k to point 8-k negated
         np.testing.assert_array_equal(mirrored.displacement, -d[::-1])
         np.testing.assert_array_equal(mirrored.load, -f[::-1])

@@ -202,13 +202,17 @@ def test_idealize_hand_example_non_degenerate_positive():
 
 def test_idealize_antisymmetric_envelope():
     d = np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])
-    f = np.array([-11.0, -14.0, -8.0, 8.0, 14.0, 11.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ib = idealize(SignalPair(d, f))
-    # negation maps point k to point 8-k negated
-    np.testing.assert_array_equal(ib.displacement, -ib.displacement[::-1])
-    np.testing.assert_array_equal(ib.load, -ib.load[::-1])
+    # an antisymmetric envelope, and one whose negative side ties its
+    # extreme load: each side takes the tied point nearer the origin
+    for f in ([-11.0, -14.0, -8.0, 8.0, 14.0, 11.0], [-12, -14, -14, 8, 14, 14]):
+        f = np.array(f, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ib = idealize(SignalPair(d, f))
+            neg = idealize(SignalPair(-d[::-1], -f[::-1]))
+        # negation maps point k to point 8-k negated
+        np.testing.assert_array_equal(ib.displacement, -neg.displacement[::-1])
+        np.testing.assert_array_equal(ib.load, -neg.load[::-1])
 
 
 def test_idealize_refuses_descending_displacements():
@@ -226,10 +230,11 @@ def test_idealize_refuses_descending_displacements():
 
 def test_idealize_requires_three_points_per_side():
     env = SignalPair([-2, -1, 1, 2, 3], [-9, -7, 6, 9, 8])
-    with pytest.raises(ValueError, match="3 envelope points"):
+    message = "need at least 3 envelope points per side, got 2 negative"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         idealize(env)
     one_signed = SignalPair([-3, -2, -1, 1, 2, 3], [1, 2, 3, 4, 5, 6])
-    with pytest.raises(ValueError, match="both positive and negative loads"):
+    with pytest.raises(ValueError, match="^no negative-side point has a negative load$"):
         idealize(one_signed)
 
 
@@ -246,18 +251,31 @@ def test_idealize_names_a_side_without_an_elastic_limit_point(side):
         idealize(SignalPair(d, f))
 
 
-def test_idealize_scans_each_side_for_its_elastic_limit_point():
+def test_idealize_takes_each_side_from_its_own_points():
     # (0, 35.8) exceeds 65% of the 52 peak but lies on neither side, so
-    # the positive scan passes it over and stops at (1, 45)
-    d = np.array([-2, -1.5, -1, -0.5, 0, 0.5, 1, 1.5, 2])
-    f = np.array([-40, -48, -45, -20, 35.8, 30, 45, 52, 47])
-    ib = idealize(SignalPair(d, f))
-    np.testing.assert_array_equal(ib.displacement, [-2, -1.5, -1, 0, 1, 1.5, 2])
-    np.testing.assert_array_equal(ib.load, [-40, -48, -45, 0, 45, 52, 47])
-    # and the negative scan passes (0, -35.8) over on the mirrored envelope
-    mirrored = idealize(SignalPair(-d[::-1], -f[::-1]))
-    np.testing.assert_array_equal(mirrored.displacement, -ib.displacement[::-1])
-    np.testing.assert_array_equal(mirrored.load, -ib.load[::-1])
+    # the positive side passes it over and stops at (1, 45); the smallest
+    # load at a positive displacement, and the largest at a negative one,
+    # are passed over by the side they are not the extreme of
+    d = [-2, -1.5, -1, -0.5, 0, 0.5, 1, 1.5, 2]
+    cases = (
+        (d, [-40, -48, -45, -20, 35.8, 30, 45, 52, 47],
+         [-2, -1.5, -1, 0, 1, 1.5, 2], [-40, -48, -45, 0, 45, 52, 47]),
+        ([-3, -2, -1, 1, 2, 3], [-12, -14, -9, 8, -20, 11],
+         [-3, -2, -2, 0, 1, 3, 3], [-12, -14, -14, 0, 8, 11, 11]),
+        ([-3, -2, -1, 1, 2, 3], [-12, 20, -9, 8, 13, 11],
+         [-3, -3, -1, 0, 2, 2, 3], [-12, -12, -9, 0, 13, 13, 11]),
+    )
+    for d, f, ideal_d, ideal_f in cases:
+        d, f = np.array(d, dtype=float), np.array(f, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ib = idealize(SignalPair(d, f))
+            # and the mirrored envelope mirrors the backbone
+            mirrored = idealize(SignalPair(-d[::-1], -f[::-1]))
+        np.testing.assert_array_equal(ib.displacement, ideal_d)
+        np.testing.assert_array_equal(ib.load, ideal_f)
+        np.testing.assert_array_equal(mirrored.displacement, -ib.displacement[::-1])
+        np.testing.assert_array_equal(mirrored.load, -ib.load[::-1])
 
 
 def test_idealized_backbone_validates_shape():

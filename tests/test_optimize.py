@@ -109,13 +109,13 @@ def test_breed_matches_loop_oracle(monkeypatch, pop, elite, tournament, cx, mut,
         assert bred.random() == looped.random()  # the same draws were made
 
 
-def test_evaluate_self_consistency(round_trip_record):
+def test_score_self_consistency(round_trip_record):
     record, backbone, truth = round_trip_record
     score = deviation_score(simulate(backbone, truth, record.displacement), record.load)
     assert score <= 1e-9 * float(np.sum(record.load**2))
 
 
-def test_evaluate_zero_record(symmetric_backbone):
+def test_score_zero_record(symmetric_backbone):
     record = SignalPair(np.zeros(10), np.zeros(10))
     params = PivotParams(5, 5, 0.5, 0.5, 10)
     response = simulate(symmetric_backbone, params, record.displacement)
