@@ -29,9 +29,9 @@ from pivotfit.backbone import extract_envelope, idealize, IdealizedBackbone
 from pivotfit.ingest import (
     OUTPUT_PRECISION,
     ParseError,
-    format_number,
     load_record,
     open_text,
+    row_format,
     write_columns,
     write_record,
 )
@@ -267,9 +267,10 @@ def _read_params_file(path) -> PivotParams:
 
 
 def _write_params_file(params: PivotParams, path, precision):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for name in PARAM_NAMES:
-            fh.write(f"{name}={format_number(getattr(params, name), precision)}\n")
+    number = row_format(1, precision)  # one number and its LF
+    lines = b"".join(name.encode() + b"=" + number for name in PARAM_NAMES)
+    with open(path, "wb") as fh:
+        fh.write(lines % tuple(getattr(params, name) for name in PARAM_NAMES))
 
 
 def _write_response(cfg: PipelineConfig, resampled, response):
@@ -304,16 +305,12 @@ def cmd_fit(cfg: PipelineConfig) -> None:
         ga = cfg.ga_config()
 
         header = ("generation", "best_score", "mean_score") + PARAM_NAMES
-        with open(
-            cfg.path("convergence.csv"), "w", encoding="utf-8", newline="\n"
-        ) as fh:
-            fh.write(",".join(header) + "\n")
+        row = row_format(len(header), cfg.precision)
+        with open(cfg.path("convergence.csv"), "wb") as fh:
+            fh.write(",".join(header).encode() + b"\n")
 
             def stream_row(generation, history):
-                row = history.row(generation)
-                fh.write(
-                    ",".join(format_number(v, cfg.precision) for v in row) + "\n"
-                )
+                fh.write(row % history.row(generation))
                 fh.flush()
 
             best, _history = fit(resampled, ideal, ga, on_generation=stream_row)

@@ -146,12 +146,14 @@ class ConvergenceHistory:
         )
 
 
+@np.errstate(over="ignore")  # as a decorator it costs half of a with block
 def deviation_score(load_resp, load_exp) -> float:
     """Sum of squared differences between two equal-length load arrays.
 
     Accumulates term by term in index order, matching an elementwise
     reference loop exactly. Zero for identical arrays and when every
-    square underflows; ``inf`` when a square overflows.
+    square underflows; ``inf``, with no numpy warning, when a difference,
+    a square or the sum overflows.
     """
     load_resp = np.asarray(load_resp, dtype=float)
     load_exp = np.asarray(load_exp, dtype=float)

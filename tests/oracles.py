@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from pivotfit.ingest import ParseError, SignalPair, format_number
+from pivotfit.ingest import ParseError, SignalPair
 from pivotfit.pivot import PivotParams
 
 
@@ -74,7 +74,7 @@ def write_columns_oracle(path, header, columns, precision=9):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in zip(*columns):
-            fh.write(",".join(format_number(v, precision) for v in row) + "\n")
+            fh.write(",".join(format(v, f".{precision}g") for v in row) + "\n")
 
 
 def detect_reversals_oracle(values):

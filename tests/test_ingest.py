@@ -240,6 +240,8 @@ def test_units_carried_to_header(tmp_path):
     assert p.read_text().splitlines()[0] == "displacement_1/m,load_kN"
     write_record(SignalPair([0, 1], [0, 2]), p)
     assert p.read_text().splitlines()[0] == "displacement_mm,load_kN"
+    write_record(SignalPair([0, 1], [0, 2]), p, units=("µm", "kN"))
+    assert p.read_bytes() == "displacement_µm,load_kN\n0,0\n1,2\n".encode("utf-8")
 
 
 # -- numpy reader and column-wise writer against the per-cell oracles --
