@@ -47,9 +47,15 @@ EXIT_OPTIMIZATION = 3
 OUTDIR_ENV_VAR = "PIVOTFIT_OUTDIR"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    """Resolved settings for a run: ingestion, resampling and GA."""
+    """Resolved settings for a run: ingestion, resampling and GA.
+
+    Checked when built, whatever the command: ``precision`` must be at
+    least 1, ``outdir`` must not be empty, and the GA settings are built
+    once into ``ga``, a ``GAConfig``. ``ga`` is no dataclass field, so
+    the manifest does not hold it.
+    """
 
     input: str = None
     outdir: str = "."
@@ -67,26 +73,20 @@ class PipelineConfig:
     workers: int = GAConfig.workers
     bounds: dict = field(default_factory=dict)  # name -> [lo, hi]
 
-    def ga_config(self) -> GAConfig:
+    def __post_init__(self):
+        if self.precision < 1:
+            raise ValueError(f"precision must be at least 1, got {self.precision}")
+        if not self.outdir:
+            raise ValueError(f"outdir must not be empty, got {self.outdir!r}")
         b = {name: (float(lo), float(hi)) for name, (lo, hi) in self.bounds.items()}
-        return GAConfig(
-            population_size=self.population,
-            max_generations=self.generations,
-            rng_seed=self.seed,
-            workers=self.workers,
-            bounds=ParamBounds(**b),
+        ga = GAConfig(
+            population_size=self.population, max_generations=self.generations,
+            bounds=ParamBounds(**b), rng_seed=self.seed, workers=self.workers,
         )
+        object.__setattr__(self, "ga", ga)  # frozen, so ga cannot go stale
 
     def path(self, filename: str) -> str:
         return os.path.join(self.outdir, filename)
-
-
-def _load_config_file(path) -> dict:
-    with open_text(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    return data
 
 
 def _is_int(value) -> bool:
@@ -111,15 +111,23 @@ _FILE_VALUE_TYPES = {
 }
 
 
-def _check_file_values(values: dict, path) -> None:
-    """Reject config file values of the wrong JSON type before any stage runs."""
-    for key, value in values.items():
-        kind = PipelineConfig.__dataclass_fields__[key].type
-        expected, check = _FILE_VALUE_TYPES[kind]
+def _load_config_file(path) -> dict:
+    """The file's settings; refuses a non-object, an unknown key or a mistyped value."""
+    with open_text(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    fields = PipelineConfig.__dataclass_fields__
+    unknown = set(data) - set(fields)
+    if unknown:
+        raise ValueError(f"unknown config file keys: {', '.join(sorted(unknown))}")
+    for key, value in data.items():
+        expected, check = _FILE_VALUE_TYPES[fields[key].type]
         if not check(value):
             raise ValueError(
                 f"config file {path}: {key!r} must be {expected}, got {value!r}"
             )
+    return data
 
 
 def _parse_bounds_flag(values) -> dict:
@@ -139,24 +147,19 @@ def _parse_bounds_flag(values) -> dict:
 
 
 def resolve_config(args) -> PipelineConfig:
-    cfg = PipelineConfig()
+    """The run's settings, each layer over the one before: the defaults,
+    $PIVOTFIT_OUTDIR, the config file, the flags (--bounds adds to the file's)."""
+    values = {}
     if os.environ.get(OUTDIR_ENV_VAR):
-        cfg.outdir = os.environ[OUTDIR_ENV_VAR]
+        values["outdir"] = os.environ[OUTDIR_ENV_VAR]
     if getattr(args, "config", None):
-        file_values = _load_config_file(args.config)
-        unknown = set(file_values) - set(cfg.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config file keys: {', '.join(sorted(unknown))}")
-        _check_file_values(file_values, args.config)
-        for key, value in file_values.items():
-            setattr(cfg, key, value)
-    for key in cfg.__dataclass_fields__:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
+        values.update(_load_config_file(args.config))
+    for key in PipelineConfig.__dataclass_fields__:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
     flag_bounds = _parse_bounds_flag(getattr(args, "bounds_flags", None))
-    cfg.bounds = {**cfg.bounds, **flag_bounds}
-    return cfg
+    values["bounds"] = {**values.get("bounds", {}), **flag_bounds}
+    return PipelineConfig(**values)
 
 
 def _manifest(cfg: PipelineConfig, command: str) -> dict:
@@ -302,7 +305,6 @@ def cmd_fit(cfg: PipelineConfig) -> None:
     with _stage("fit"):
         resampled = load_record(cfg.path("resampled.csv"))
         ideal = _read_idealized(cfg)
-        ga = cfg.ga_config()
 
         header = ("generation", "best_score", "mean_score") + PARAM_NAMES
         row = row_format(len(header), cfg.precision)
@@ -313,7 +315,7 @@ def cmd_fit(cfg: PipelineConfig) -> None:
                 fh.write(row % history.row(generation))
                 fh.flush()
 
-            best, _history = fit(resampled, ideal, ga, on_generation=stream_row)
+            best, _history = fit(resampled, ideal, cfg.ga, on_generation=stream_row)
         _write_params_file(best, cfg.path("best_params.txt"), cfg.precision)
     # Response comes from the written params file so that a later
     # standalone `simulate` reproduces it byte for byte.
@@ -402,14 +404,7 @@ def main(argv=None) -> int:
             f"pivotfit: warning: {message}", file=sys.stderr
         )
         try:
-            cfg = resolve_config(args)
-            # checked before any stage writes a file
-            if cfg.precision < 1:
-                raise ValueError(f"precision must be at least 1, got {cfg.precision}")
-            if not cfg.outdir:
-                raise ValueError(f"outdir must not be empty, got {cfg.outdir!r}")
-            if args.command in ("fit", "pipeline"):
-                cfg.ga_config()
+            cfg = resolve_config(args)  # checked before any stage writes a file
             manifest = _manifest(cfg, args.command)  # of the input as read
             # an earlier command's manifest would describe this run's outputs
             with suppress(FileNotFoundError):

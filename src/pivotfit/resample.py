@@ -11,9 +11,23 @@ also cuts the backbone's half-cycles and the engine's runs.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from pivotfit.ingest import SignalPair
+
+
+def _is_whole(value) -> bool:
+    """Whether value is a finite real number with no fractional part; a
+    bool is no count."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and int(value) == value
+    )
 
 
 def regular_reduce(pair: SignalPair, step: int) -> SignalPair:
@@ -22,8 +36,8 @@ def regular_reduce(pair: SignalPair, step: int) -> SignalPair:
     Output length is ceil(n/m), which must be at least 2. ``step`` of 1
     returns an identical pair.
     """
-    if int(step) != step or step < 1:
-        raise ValueError(f"reduction step must be a positive integer, got {step}")
+    if not _is_whole(step) or step < 1:
+        raise ValueError(f"reduction step must be a positive integer, got {step!r}")
     step = int(step)
     kept = -(-len(pair) // step)
     if kept < 2:
@@ -50,9 +64,12 @@ def detect_reversals(values) -> np.ndarray:
     reported at the sample where a nonzero difference contradicts the
     previous nonzero direction (:func:`sign_flips`). The final index n is
     always appended, so a constant array yields just [n]. Output is
-    strictly increasing. A non-finite value raises ValueError.
+    strictly increasing. Values that are not a 1-d array or not finite
+    raise ValueError.
     """
     values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"values must be 1-d, got shape {values.shape}")
     n = values.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 samples to detect reversals, got {n}")
@@ -81,7 +98,8 @@ def irregular_resample(pair: SignalPair, scale: int, changes) -> SignalPair:
 
     ``changes`` are the 1-based direction-change indices of the
     displacement trace with the final sample index appended (the output
-    of :func:`detect_reversals`). Both arrays are multiplied by
+    of :func:`detect_reversals`); an index that is not a whole number
+    raises ValueError naming it. Both arrays are multiplied by
     ``scale``; displacements are floored toward negative infinity; each
     segment is queried on the integer grid from the previous endpoint to
     the segment end in its own direction, each floored value keeping its
@@ -94,19 +112,26 @@ def irregular_resample(pair: SignalPair, scale: int, changes) -> SignalPair:
     segment. Within every contributed segment the displacement increment
     is 1/scale with constant sign.
     """
-    if int(scale) != scale or scale <= 10:
-        raise ValueError(f"resampling scale must be an integer > 10, got {scale}")
+    if not _is_whole(scale) or scale <= 10:
+        raise ValueError(f"resampling scale must be an integer > 10, got {scale!r}")
     scale = int(scale)
 
     n = len(pair)
-    changes = np.asarray(changes, dtype=int)
+    changes = np.asarray(changes, dtype=float)
     if changes.ndim != 1 or changes.size == 0:
         raise ValueError("direction-change indices must be a non-empty 1-d array")
+    whole = np.isfinite(changes) & (changes == np.round(changes))
+    if not whole.all():
+        i = int(whole.argmin())
+        raise ValueError(
+            f"direction-change indices must be whole numbers, changes[{i}] is {changes[i]}"
+        )
     if changes[0] < 1 or changes[-1] != n or np.any(np.diff(changes) <= 0):
         raise ValueError(
             "direction-change indices must be strictly increasing, within "
             f"[1, {n}], and end at {n}"
         )
+    changes = changes.astype(int)  # whole and within [1, n], so exact
 
     disp = _snap_floor(pair.displacement * scale)
     load = pair.load * scale

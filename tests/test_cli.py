@@ -540,6 +540,29 @@ def test_ga_settings_checked_before_any_stage(workdir, capsys, command, flags):
     assert not out.exists()  # rejected before any stage ran
 
 
+@pytest.mark.parametrize("command", ["resample", "backbone", "simulate", "fit", "pipeline"])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("population", 2, "population_size must exceed the 2 elites"),
+        ("generations", -1, "max_generations must be positive"),
+        ("workers", 0, "workers must be positive"),
+        ("bounds", {"alpha1": [50, 1]}, "lower bound exceeds upper bound for alpha1"),
+        ("seed", -1, "rng_seed must be a non-negative integer"),
+    ],
+)
+def test_ga_settings_in_a_config_file_checked_by_every_command(
+    workdir, capsys, command, key, value, message
+):
+    """One file serves every stage, so every command refuses its bad GA
+    settings, before resample writes anything."""
+    tmp, raw, out, config = workdir
+    config.write_text(json.dumps({**json.loads(config.read_text()), key: value}))
+    assert main([command, "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"pivotfit: {message}\n"
+    assert not out.exists()  # rejected before any stage ran
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -21,8 +22,13 @@ from oracles import detect_reversals_oracle, resample_oracle
 
 def test_reduce_rejects_bad_stride():
     pair = SignalPair([0, 1], [0, 1])
-    with pytest.raises(ValueError):
-        regular_reduce(pair, 0)
+    # NaN and inf once failed as bare ValueError and OverflowError, True
+    # was taken as step 1 and "2" was refused as "got 2"
+    for step in (0, -1, 1.5, math.nan, math.inf, -math.inf, True, "2"):
+        message = f"reduction step must be a positive integer, got {step!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            regular_reduce(pair, step)
+    assert len(regular_reduce(pair, 1.0)) == 2  # a whole float is a step
 
 
 @settings(max_examples=60, deadline=None)
@@ -64,6 +70,13 @@ def test_reversals_plateau_at_peak():
 def test_reversals_too_short():
     with pytest.raises(ValueError):
         detect_reversals([1.0])
+
+
+@pytest.mark.parametrize("values, shape", [([[0.0, 1.0], [2.0, 3.0]], (2, 2)), (5.0, ())])
+def test_reversals_refuse_values_that_are_not_1d(values, shape):
+    # once a bare IndexError: "too many indices", "tuple index out of range"
+    with pytest.raises(ValueError, match=re.escape(f"values must be 1-d, got shape {shape}")):
+        detect_reversals(values)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -165,8 +178,10 @@ def test_resample_no_load_overshoot():
 
 def test_resample_rejects_small_scale():
     pair = SignalPair([0.0, 1.0], [0.0, 1.0])
-    with pytest.raises(ValueError, match="> 10"):
-        irregular_resample(pair, 10, detect_reversals(pair.displacement))
+    for scale in (10, 10.5, math.nan, math.inf, -math.inf, True, "20"):
+        message = f"resampling scale must be an integer > 10, got {scale!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            irregular_resample(pair, scale, detect_reversals(pair.displacement))
 
 
 def test_resample_rejects_bad_change_indices():
@@ -175,6 +190,12 @@ def test_resample_rejects_bad_change_indices():
         irregular_resample(pair, 20, np.array([2]))
     with pytest.raises(ValueError, match="non-empty 1-d array"):
         irregular_resample(pair, 20, [])
+    # a fractional index was once truncated: [1.7, 3] cut at sample 1
+    for changes, i, bad in (([1.7, 3], 0, 1.7), ([2, np.nan], 1, np.nan), ([np.inf], 0, np.inf)):
+        with pytest.raises(ValueError, match=rf"whole numbers, changes\[{i}\] is {bad}$"):
+            irregular_resample(pair, 20, changes)
+    whole, ints = (irregular_resample(pair, 20, c) for c in ([2.0, 3.0], [2, 3]))
+    np.testing.assert_array_equal(whole.displacement, ints.displacement)
 
 
 def test_resample_reports_non_monotonic_segment():
